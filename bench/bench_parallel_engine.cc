@@ -75,14 +75,9 @@ struct RunResult {
   double reg_p50_ms = 0.0;
   double reg_p95_ms = 0.0;
   double reg_p99_ms = 0.0;
-  // Backend reads avoided by cross-query coalescing and speculative pages
-  // issued by CRSS-hint prefetch, summed over the timed batch; hits are
-  // demand requests served from prefetched frames, wasted the speculation
-  // resolved as pointless.
+  // Backend reads avoided by cross-query coalescing, summed over the
+  // timed batch.
   uint64_t coalesced_reads = 0;
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_wasted = 0;
 };
 
 // One timed RunBatch on a fresh engine with `threads` query threads.
@@ -90,16 +85,13 @@ RunResult RunOnce(const parallel::ParallelRStarTree& index,
                   const storage::PageStore* store,
                   const std::vector<exec::EngineQuery>& queries, int threads,
                   size_t cache_pages, bool warm_up, bool serial_io = false,
-                  bool metered = true, int prefetch_budget = 0,
-                  bool prefetch_adaptive = false,
+                  bool metered = true,
                   exec::IoBackendKind io_backend =
                       exec::IoBackendKind::kThreads) {
   exec::EngineOptions options;
   options.query_threads = threads;
   options.cache_pages = cache_pages;
   options.serial_io = serial_io;
-  options.prefetch_budget = prefetch_budget;
-  options.prefetch_adaptive = prefetch_adaptive;
   options.enable_metrics = metered;
   options.io_backend = io_backend;
   if (!metered) options.trace_capacity = 0;
@@ -118,15 +110,12 @@ RunResult RunOnce(const parallel::ParallelRStarTree& index,
 
   std::vector<double> latencies;
   double pages = 0.0;
-  uint64_t coalesced = 0, prefetched = 0, pf_hits = 0, pf_wasted = 0;
+  uint64_t coalesced = 0;
   for (const exec::QueryAnswer& a : answers) {
     SQP_CHECK(a.status.ok());
     latencies.push_back(a.latency_s);
     pages += static_cast<double>(a.pages_fetched);
     coalesced += a.coalesced_reads;
-    prefetched += a.prefetch_issued;
-    pf_hits += a.prefetch_hits;
-    pf_wasted += a.prefetch_wasted;
   }
   std::sort(latencies.begin(), latencies.end());
 
@@ -143,9 +132,6 @@ RunResult RunOnce(const parallel::ParallelRStarTree& index,
   r.hit_rate = hits + misses == 0 ? 0.0 : hits / (hits + misses);
   r.mean_pages = pages / static_cast<double>(answers.size());
   r.coalesced_reads = coalesced;
-  r.prefetch_issued = prefetched;
-  r.prefetch_hits = pf_hits;
-  r.prefetch_wasted = pf_wasted;
   if (metered) {
     // Registry view of the same latencies (warm-up queries included — the
     // histogram is cumulative — but they run the identical workload, so
@@ -166,20 +152,15 @@ RunResult RunOnce(const parallel::ParallelRStarTree& index,
 void PrintSeries(const char* name, const std::vector<RunResult>& series,
                  double baseline_qps = 0.0, bool uring_active = false) {
   if (baseline_qps == 0.0) baseline_qps = series.front().qps;
-  std::printf("\n%s:\n%8s %10s %10s %10s %10s %8s %8s %9s %9s %8s %8s %9s\n",
-              name, "threads", "q/s", "p50(ms)", "p95(ms)", "p99(ms)",
-              "hit%", "pages", "coalesce", "prefetch", "pf_hit", "pf_waste",
-              "speedup");
+  std::printf("\n%s:\n%8s %10s %10s %10s %10s %8s %8s %9s %9s\n", name,
+              "threads", "q/s", "p50(ms)", "p95(ms)", "p99(ms)", "hit%",
+              "pages", "coalesce", "speedup");
   for (const RunResult& r : series) {
-    std::printf(
-        "%8d %10.0f %10.3f %10.3f %10.3f %7.0f%% %8.1f %9llu %9llu %8llu "
-        "%8llu %8.2fx\n",
-        r.threads, r.qps, r.p50_ms, r.p95_ms, r.p99_ms, 100 * r.hit_rate,
-        r.mean_pages, static_cast<unsigned long long>(r.coalesced_reads),
-        static_cast<unsigned long long>(r.prefetch_issued),
-        static_cast<unsigned long long>(r.prefetch_hits),
-        static_cast<unsigned long long>(r.prefetch_wasted),
-        r.qps / baseline_qps);
+    std::printf("%8d %10.0f %10.3f %10.3f %10.3f %7.0f%% %8.1f %9llu %8.2fx\n",
+                r.threads, r.qps, r.p50_ms, r.p95_ms, r.p99_ms,
+                100 * r.hit_rate, r.mean_pages,
+                static_cast<unsigned long long>(r.coalesced_reads),
+                r.qps / baseline_qps);
   }
   // The uring backend parks no thread per disk — the reactor drives every
   // spindle from one thread — so the worker-thread oversubscription
@@ -219,9 +200,6 @@ void JsonSeries(bench::JsonWriter* w, const char* name,
     w->Field("cache_hit_rate", r.hit_rate, 4);
     w->Field("mean_pages_per_query", r.mean_pages, 4);
     w->Field("coalesced_reads", r.coalesced_reads);
-    w->Field("prefetch_issued", r.prefetch_issued);
-    w->Field("prefetch_hits", r.prefetch_hits);
-    w->Field("prefetch_wasted", r.prefetch_wasted);
     w->Field("speedup_vs_baseline", r.qps / baseline_qps, 4);
     w->EndObject();
   }
@@ -337,57 +315,6 @@ int RunFaultSmoke(const parallel::ParallelRStarTree& index,
   return 0;
 }
 
-// CI's prefetch non-regression gate: on throttled media, adaptive
-// prefetch must never fall below the no-prefetch baseline by more than
-// the tolerance band at any probed thread count — the regression class
-// PR 5's static budget shipped (speculation stealing demand bandwidth at
-// 8 threads) stays impossible. `tolerance` is the minimum acceptable
-// adaptive/off throughput ratio (0.85 = adaptive may run at most 15%
-// slower before the gate trips; run-to-run noise on shared CI hosts is
-// why it is not 1.0).
-constexpr int kGateReps = 3;
-
-int RunPrefetchGate(const parallel::ParallelRStarTree& index,
-                    const storage::PageStore* slow,
-                    const std::vector<exec::EngineQuery>& queries,
-                    double tolerance) {
-  bool pass = true;
-  std::printf(
-      "\nprefetch non-regression gate (throttled media, adaptive vs "
-      "no-prefetch, best of %d reps per side, min ratio %.2f):\n",
-      kGateReps, tolerance);
-  for (int t : {1, 4, 8}) {
-    // Min-time benchmarking, same rationale as the metering-overhead
-    // measurement: on a noisy shared host interference only ever slows a
-    // run, so the fastest rep per side is the least-disturbed estimate.
-    // Reps alternate sides so a load transient hits both equally.
-    RunResult off, adaptive;
-    for (int rep = 0; rep < kGateReps; ++rep) {
-      const RunResult o = RunOnce(index, slow, queries, t,
-                                  /*cache_pages=*/64, /*warm_up=*/true);
-      const RunResult a =
-          RunOnce(index, slow, queries, t, /*cache_pages=*/64,
-                  /*warm_up=*/true, /*serial_io=*/false, /*metered=*/true,
-                  /*prefetch_budget=*/0, /*prefetch_adaptive=*/true);
-      if (rep == 0 || o.qps > off.qps) off = o;
-      if (rep == 0 || a.qps > adaptive.qps) adaptive = a;
-    }
-    const double ratio = adaptive.qps / off.qps;
-    const bool ok = ratio >= tolerance;
-    std::printf(
-        "  %d threads: off %.0f q/s, adaptive %.0f q/s -> ratio %.3f "
-        "(%llu speculative issued, %llu hits, %llu wasted)  %s\n",
-        t, off.qps, adaptive.qps, ratio,
-        static_cast<unsigned long long>(adaptive.prefetch_issued),
-        static_cast<unsigned long long>(adaptive.prefetch_hits),
-        static_cast<unsigned long long>(adaptive.prefetch_wasted),
-        ok ? "ok" : "REGRESSION");
-    if (!ok) pass = false;
-  }
-  std::printf(pass ? "PREFETCH GATE PASS\n" : "PREFETCH GATE FAIL\n");
-  return pass ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -405,16 +332,6 @@ int main(int argc, char** argv) {
       std::atof(bench::ArgValue(argc, argv, "faults", "0").c_str());
   const uint64_t fault_seed = static_cast<uint64_t>(
       std::atol(bench::ArgValue(argc, argv, "fault-seed", "1998").c_str()));
-  // Prefetch policy of the prefetch series: off | <N> (fixed per-step
-  // budget) | adaptive (feedback-controlled — the default and the policy
-  // the committed JSON records).
-  const std::string prefetch_mode =
-      bench::ArgValue(argc, argv, "prefetch", "adaptive");
-  const bool gate_mode =
-      std::atoi(bench::ArgValue(argc, argv, "prefetch-gate", "0").c_str()) !=
-      0;
-  const double gate_tolerance = std::atof(
-      bench::ArgValue(argc, argv, "gate-tolerance", "0.85").c_str());
   // I/O backend of the headline series: threads (default, comparable to
   // the historical JSONs) or uring. A uring request on a kernel without
   // io_uring prints the probe's reason and proceeds on threads — the same
@@ -482,13 +399,6 @@ int main(int argc, char** argv) {
     return rc;
   }
 
-  if (gate_mode) {
-    storage::ThrottledPageStore slow(store->get(), throttle);
-    const int rc = RunPrefetchGate(*index, &slow, queries, gate_tolerance);
-    std::filesystem::remove_all(dir);
-    return rc;
-  }
-
   // The warm runs finish a query in tens of microseconds; repeat the list
   // so each timed run spans hundreds of milliseconds of wall clock.
   std::vector<exec::EngineQuery> warm_queries;
@@ -500,9 +410,7 @@ int main(int argc, char** argv) {
   for (int t : threads) {
     warm.push_back(RunOnce(*index, store->get(), warm_queries, t,
                            /*cache_pages=*/8192, /*warm_up=*/true,
-                           /*serial_io=*/false, /*metered=*/true,
-                           /*prefetch_budget=*/0,
-                           /*prefetch_adaptive=*/false, io_kind));
+                           /*serial_io=*/false, /*metered=*/true, io_kind));
   }
   PrintSeries("warm cache (CPU-bound; scaling bounded by core count)",
               warm, 0.0, uring_active);
@@ -519,57 +427,26 @@ int main(int argc, char** argv) {
       "p50 %.3f ms\n",
       serial.qps, serial.p50_ms);
 
-  // Throttled media with and without CRSS-hint prefetch. With prefetch,
-  // speculation rides the per-disk queues' speculative class (demand
-  // strictly first, cancellable in queue); `adaptive` lets the feedback
-  // controller size the per-step budget from the measured hit rate,
-  // cache pressure, and demand queue depth. The two series are compared
-  // point-for-point below, so each side takes the best of kGateReps
-  // alternating reps (min-time benchmarking, same rationale as the
-  // metering measurement: interference only ever slows a run).
-  int pf_budget = 0;
-  bool pf_adaptive = false;
-  if (prefetch_mode == "adaptive") {
-    pf_adaptive = true;
-  } else if (prefetch_mode != "off") {
-    pf_budget = std::atoi(prefetch_mode.c_str());
-    SQP_CHECK(pf_budget > 0);
-  }
+  // Throttled media. Each row takes the best of kThrottledReps reps
+  // (min-time benchmarking, same rationale as the metering measurement:
+  // interference only ever slows a run).
+  constexpr int kThrottledReps = 3;
   std::vector<RunResult> throttled;
-  std::vector<RunResult> prefetch_series;
   for (int t : threads) {
-    RunResult off, pf;
-    for (int rep = 0; rep < kGateReps; ++rep) {
-      const RunResult o = RunOnce(*index, &slow, queries, t,
+    RunResult best;
+    for (int rep = 0; rep < kThrottledReps; ++rep) {
+      const RunResult r = RunOnce(*index, &slow, queries, t,
                                   /*cache_pages=*/64, /*warm_up=*/true,
                                   /*serial_io=*/false, /*metered=*/true,
-                                  /*prefetch_budget=*/0,
-                                  /*prefetch_adaptive=*/false, io_kind);
-      const RunResult p = RunOnce(*index, &slow, queries, t,
-                                  /*cache_pages=*/64, /*warm_up=*/true,
-                                  /*serial_io=*/false, /*metered=*/true,
-                                  pf_budget, pf_adaptive, io_kind);
-      if (rep == 0 || o.qps > off.qps) off = o;
-      if (rep == 0 || p.qps > pf.qps) pf = p;
+                                  io_kind);
+      if (rep == 0 || r.qps > best.qps) best = r;
     }
-    throttled.push_back(off);
-    prefetch_series.push_back(pf);
+    throttled.push_back(best);
   }
   PrintSeries(
       "throttled media (I/O-bound; per-disk workers overlap; speedup vs "
       "serial baseline)",
       throttled, serial.qps, uring_active);
-  PrintSeries(("throttled media + CRSS prefetch (" + prefetch_mode + ")")
-                  .c_str(),
-              prefetch_series, serial.qps, uring_active);
-  // The regression the two-class queue exists to prevent, checked inline:
-  // prefetch should never lose to the plain throttled series.
-  for (size_t i = 0; i < prefetch_series.size(); ++i) {
-    const double ratio = prefetch_series[i].qps / throttled[i].qps;
-    std::printf("  vs no-prefetch at %d threads: %.3fx%s\n",
-                prefetch_series[i].threads, ratio,
-                ratio < 1.0 ? "  (prefetch losing!)" : "");
-  }
 
   // Threads vs uring, point-for-point on the same throttled media. Best
   // of kIoCompareReps alternating reps per side — more than the other
@@ -599,9 +476,7 @@ int main(int argc, char** argv) {
         const auto run_uring = [&] {
           return RunOnce(*index, &slow, queries, t, /*cache_pages=*/64,
                          /*warm_up=*/true, /*serial_io=*/false,
-                         /*metered=*/true, /*prefetch_budget=*/0,
-                         /*prefetch_adaptive=*/false,
-                         exec::IoBackendKind::kUring);
+                         /*metered=*/true, exec::IoBackendKind::kUring);
         };
         RunResult a, u;
         if (rep % 2 == 0) {
@@ -638,7 +513,7 @@ int main(int argc, char** argv) {
   // design — declustering spreads each activation batch one page per
   // disk, so there is nothing for the layout to merge. The access
   // pattern the placement targets is the multi-child expansion (range
-  // queries, breadth traversals, speculative sibling runs): every
+  // queries, breadth traversals, sibling runs): every
   // internal node's children batch-read through the StoredIndexReader
   // that serves the engine. pages/read is delivered pages over physical
   // media accesses (merged runs; StoredIndexReader::media_reads) — the
@@ -757,7 +632,6 @@ int main(int argc, char** argv) {
   bench::StampBenchMeta(&w, io_active);
   w.Field("bench", "parallel_engine");
   w.Field("algo", "crss");
-  w.Field("prefetch_mode", prefetch_mode);
   w.Field("k", static_cast<uint64_t>(k));
   w.Field("points", static_cast<uint64_t>(n_points));
   w.Field("queries", static_cast<uint64_t>(n_queries));
@@ -775,7 +649,6 @@ int main(int argc, char** argv) {
   w.EndObject();
   JsonSeries(&w, "warm_cache", warm);
   JsonSeries(&w, "throttled_media", throttled, serial.qps);
-  JsonSeries(&w, "throttled_media_prefetch", prefetch_series, serial.qps);
   if (!io_uring_series.empty()) {
     JsonSeries(&w, "io_backend_threads", io_threads_series, serial.qps);
     JsonSeries(&w, "io_backend_uring", io_uring_series, serial.qps);

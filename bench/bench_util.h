@@ -213,10 +213,10 @@ class JsonWriter {
 // the shape or meaning of its JSON (new/renamed series, changed row
 // fields), so trajectory tooling can tell format changes from perf
 // changes. v1: implicit, unstamped (PRs 2-6). v2: stamped meta fields +
-// prefetch hit/wasted columns and adaptive prefetch series. v3: kernel +
-// io_uring probe meta fields, io-backend series in bench_parallel_engine,
-// hot-neighbor placement section.
-inline constexpr int kBenchSchemaVersion = 3;
+// read-ahead columns and series. v3: kernel + io_uring probe meta fields,
+// io-backend series in bench_parallel_engine, hot-neighbor placement
+// section. v4: the read-ahead columns, series and mode field are gone.
+inline constexpr int kBenchSchemaVersion = 4;
 
 #ifndef SQP_GIT_DESCRIBE
 #define SQP_GIT_DESCRIBE "unknown"  // set by bench/CMakeLists.txt

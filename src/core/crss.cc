@@ -154,7 +154,6 @@ StepResult Crss::ProcessInternal(uint64_t n_scanned) {
   step.cpu_instructions = cost;
   step.requests.reserve(active.size());
   for (const Candidate& c : active) step.requests.push_back(c.page);
-  FillPrefetchHints(&step);
   return step;
 }
 
@@ -191,35 +190,12 @@ StepResult Crss::PopNextRun(uint64_t cpu_instructions) {
     }
     step.requests.reserve(survivors.size());
     for (const Candidate& c : survivors) step.requests.push_back(c.page);
-    FillPrefetchHints(&step);
     return step;
   }
 
   mode_ = CrssMode::kTerminate;
   step.done = true;
   return step;
-}
-
-void Crss::FillPrefetchHints(StepResult* step) const {
-  if (step->done || stack_.empty()) return;
-  const size_t cap = static_cast<size_t>(options_.max_activation);
-  // Walk runs from the top of the stack (deepest, most precise MBRs) and
-  // each run from its nearest end, exactly the order PopNextRun will
-  // activate them in; stop a run at its first non-intersecting candidate
-  // (the same guard that would kill it).
-  for (auto run = stack_.rbegin();
-       run != stack_.rend() && step->prefetch_hints.size() < cap; ++run) {
-    for (auto c = run->rbegin();
-         c != run->rend() && step->prefetch_hints.size() < cap; ++c) {
-      if (c->min_dist_sq > dth_sq_) break;
-      // This step's own requests are being fetched anyway.
-      if (std::find(step->requests.begin(), step->requests.end(), c->page) !=
-          step->requests.end()) {
-        continue;
-      }
-      step->prefetch_hints.push_back(c->page);
-    }
-  }
 }
 
 }  // namespace sqp::core

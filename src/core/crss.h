@@ -78,11 +78,6 @@ class Crss : public SearchAlgorithm {
   // empties (Get-Candidate-Run of Figure 6).
   StepResult PopNextRun(uint64_t cpu_instructions);
 
-  // Fills step->prefetch_hints with the nearest still-intersecting
-  // candidates waiting on the stack (up to `u` of them, nearest first).
-  // Read-only over the stack: hints never change the traversal.
-  void FillPrefetchHints(StepResult* step) const;
-
   const rstar::RStarTree& tree_;
   geometry::Point query_;
   size_t k_;

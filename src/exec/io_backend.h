@@ -1,8 +1,8 @@
 // The seam between the execution engine and its I/O machinery.
 //
-// The engine schedules two classes of disk work (docs/EXECUTION.md):
-// demand reads a query is blocked on, and cancellable speculation nobody
-// waits for. How that work reaches the media is a backend choice:
+// The engine schedules one class of disk work: demand reads a query is
+// blocked on (docs/EXECUTION.md). How that work reaches the media is a
+// backend choice:
 //
 //   * DiskIoPool ("threads", io_pool.h) — one blocking worker thread per
 //     disk, the wall-clock form of the paper's per-spindle FCFS queues.
@@ -10,15 +10,9 @@
 //     reactor driving one io_uring shared by all disks, with deep
 //     per-disk in-flight windows and no thread parked per spindle.
 //
-// Both present the same contract: demand work has strict priority over
-// speculation on its spindle, speculative jobs carry a cancel predicate
-// evaluated before the media is touched (cancelled entries are either
-// never submitted or reaped-and-dropped), and the conservation identity
-// speculative_issued == speculative_completed + speculative_cancelled
-// holds once the queues drain. The engine's headline invariant — query
-// answers bit-identical to the sequential executor — holds under every
-// backend, because delivery order is the engine's business, not the
-// backend's.
+// The engine's headline invariant — query answers bit-identical to the
+// sequential executor — holds under every backend, because delivery
+// order is the engine's business, not the backend's.
 //
 // A backend may additionally be *completion-driven* (completion_driven()
 // returns true): the engine then hands it raw byte-level read batches
@@ -29,7 +23,6 @@
 #ifndef SQP_EXEC_IO_BACKEND_H_
 #define SQP_EXEC_IO_BACKEND_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -50,20 +43,13 @@ class IoBackend {
 
   virtual int num_disks() const = 0;
 
-  // Demand-class closure job on `disk`; blocks while the demand queue is
-  // at capacity. Must not be called from a backend worker/reactor thread.
+  // Closure job on `disk`; blocks while the disk's queue is at capacity.
+  // Must not be called from a backend worker/reactor thread.
   virtual void Submit(int disk, std::function<void()> job) = 0;
 
-  // Non-blocking demand variant: false (job dropped, rejection counted)
-  // when the queue is full or the backend is stopping.
+  // Non-blocking variant: false (job dropped, rejection counted) when the
+  // queue is full or the backend is stopping.
   virtual bool TrySubmit(int disk, std::function<void()> job) = 0;
-
-  // Speculative-class closure job: runs only while `disk` has no demand
-  // work, skipped (counted cancelled) if `cancel` returns true at the
-  // moment it would start or the backend shuts down first. Never blocks;
-  // false on a full speculative queue.
-  virtual bool SubmitSpeculative(int disk, std::function<void()> job,
-                                 std::function<bool()> cancel = nullptr) = 0;
 
   // True when the backend natively executes byte-level read batches and
   // invokes completions from its own reactor context (SubmitBatchRead).
@@ -85,7 +71,7 @@ class IoBackend {
     SQP_CHECK(false && "backend is not completion-driven");
   }
 
-  // Demand jobs (closures and read batches) completed so far.
+  // Jobs (closures and read batches) completed so far.
   virtual uint64_t jobs_completed() const = 0;
 
   // Times a blocking submission stalled for queue space.
@@ -94,22 +80,9 @@ class IoBackend {
   // Jobs dropped for lack of queue space.
   virtual uint64_t queue_rejections() const = 0;
 
-  // Speculative-class conservation: once drained,
-  // issued == completed + cancelled.
-  virtual uint64_t speculative_issued() const = 0;
-  virtual uint64_t speculative_completed() const = 0;
-  virtual uint64_t speculative_cancelled() const = 0;
-
-  // Demand jobs queued on `disk` right now (not counting work in flight).
-  virtual size_t demand_queue_depth(int disk) const = 0;
-
-  // True when `disk` has demand work queued or in flight — the engine's
-  // prefetch issue-time gate.
-  virtual bool demand_busy(int disk) const = 0;
-
   // True when the calling thread belongs to this backend (a worker, an
-  // executor, or the completion reactor). Submitting demand work from one
-  // is a contract violation (debug builds abort in Submit).
+  // executor, or the completion reactor). Submitting work from one is a
+  // contract violation (debug builds abort in Submit).
   virtual bool OnWorkerThread() const = 0;
 };
 

@@ -26,10 +26,8 @@ DiskIoPool::DiskIoPool(int num_disks, obs::MetricsRegistry* metrics,
                        const DiskIoPoolOptions& options) {
   SQP_CHECK(num_disks >= 1);
   SQP_CHECK(options.max_queue_depth >= 1);
-  SQP_CHECK(options.max_speculative_depth >= 1);
   metered_ = metrics != nullptr;
   max_queue_depth_ = options.max_queue_depth;
-  max_speculative_depth_ = options.max_speculative_depth;
   for (int d = 0; d < num_disks; ++d) {
     DiskQueue& q = queues_.emplace_back();
     if (metrics != nullptr) {
@@ -41,10 +39,6 @@ DiskIoPool::DiskIoPool(int num_disks, obs::MetricsRegistry* metrics,
           obs::WithLabel("sqp_io_backpressure_waits_total", "disk", d));
       q.rejections_total = metrics->GetCounter(
           obs::WithLabel("sqp_io_queue_rejections_total", "disk", d));
-      q.spec_issued_total = metrics->GetCounter(
-          obs::WithLabel("sqp_io_speculative_issued_total", "disk", d));
-      q.spec_cancelled_total = metrics->GetCounter(
-          obs::WithLabel("sqp_io_speculative_cancelled_total", "disk", d));
       q.wait_seconds = metrics->GetHistogram(
           obs::WithLabel("sqp_io_wait_seconds", "disk", d),
           obs::MetricsRegistry::LatencyBuckets());
@@ -114,26 +108,6 @@ bool DiskIoPool::TrySubmit(int disk, std::function<void()> job) {
   return true;
 }
 
-bool DiskIoPool::SubmitSpeculative(int disk, std::function<void()> job,
-                                   std::function<bool()> cancel) {
-  SQP_CHECK(disk >= 0 && disk < num_disks());
-  DiskQueue& q = queues_[static_cast<size_t>(disk)];
-  QueuedJob queued;
-  queued.fn = std::move(job);
-  queued.cancel = std::move(cancel);
-  std::lock_guard<std::mutex> lock(q.mu);
-  if (q.stop || q.spec_jobs.size() >= max_speculative_depth_) {
-    ++q.rejections;
-    if (q.rejections_total != nullptr) q.rejections_total->Add(1);
-    return false;
-  }
-  ++q.spec_issued;
-  if (q.spec_issued_total != nullptr) q.spec_issued_total->Add(1);
-  q.spec_jobs.push_back(std::move(queued));
-  q.cv.notify_one();
-  return true;
-}
-
 uint64_t DiskIoPool::jobs_completed() const {
   uint64_t total = 0;
   for (const DiskQueue& q : queues_) {
@@ -161,106 +135,21 @@ uint64_t DiskIoPool::queue_rejections() const {
   return total;
 }
 
-uint64_t DiskIoPool::speculative_issued() const {
-  uint64_t total = 0;
-  for (const DiskQueue& q : queues_) {
-    std::lock_guard<std::mutex> lock(q.mu);
-    total += q.spec_issued;
-  }
-  return total;
-}
-
-uint64_t DiskIoPool::speculative_completed() const {
-  uint64_t total = 0;
-  for (const DiskQueue& q : queues_) {
-    std::lock_guard<std::mutex> lock(q.mu);
-    total += q.spec_completed;
-  }
-  return total;
-}
-
-uint64_t DiskIoPool::speculative_cancelled() const {
-  uint64_t total = 0;
-  for (const DiskQueue& q : queues_) {
-    std::lock_guard<std::mutex> lock(q.mu);
-    total += q.spec_cancelled;
-  }
-  return total;
-}
-
-size_t DiskIoPool::demand_queue_depth(int disk) const {
-  SQP_CHECK(disk >= 0 && disk < num_disks());
-  const DiskQueue& q = queues_[static_cast<size_t>(disk)];
-  std::lock_guard<std::mutex> lock(q.mu);
-  return q.jobs.size();
-}
-
-bool DiskIoPool::demand_busy(int disk) const {
-  SQP_CHECK(disk >= 0 && disk < num_disks());
-  const DiskQueue& q = queues_[static_cast<size_t>(disk)];
-  std::lock_guard<std::mutex> lock(q.mu);
-  return !q.jobs.empty() || q.demand_active;
-}
-
 bool DiskIoPool::OnWorkerThread() const { return tls_worker_pool == this; }
-
-void DiskIoPool::CancelQueuedSpeculativeLocked(DiskQueue* queue) {
-  while (!queue->spec_jobs.empty()) {
-    queue->spec_jobs.pop_front();
-    ++queue->spec_cancelled;
-    if (queue->spec_cancelled_total != nullptr) {
-      queue->spec_cancelled_total->Add(1);
-    }
-  }
-}
 
 void DiskIoPool::WorkerLoop(DiskQueue* queue) {
   tls_worker_pool = this;
   for (;;) {
     QueuedJob job;
-    bool speculative = false;
     {
       std::unique_lock<std::mutex> lock(queue->mu);
-      queue->cv.wait(lock, [queue] {
-        return queue->stop || !queue->jobs.empty() ||
-               !queue->spec_jobs.empty();
-      });
-      if (queue->stop) {
-        // Shutdown never pays for queued speculation: cancel it all,
-        // then keep draining demand work.
-        CancelQueuedSpeculativeLocked(queue);
-        if (queue->jobs.empty()) return;  // demand drained too
-      }
-      if (!queue->jobs.empty()) {
-        // Demand strictly first — speculation only runs on an otherwise
-        // idle spindle.
-        job = std::move(queue->jobs.front());
-        queue->jobs.pop_front();
-        queue->demand_active = true;  // cleared after the job runs
-        if (queue->queue_depth != nullptr) queue->queue_depth->Add(-1);
-        queue->space_cv.notify_one();
-      } else {
-        job = std::move(queue->spec_jobs.front());
-        queue->spec_jobs.pop_front();
-        speculative = true;
-      }
-    }
-    if (speculative) {
-      // Last-moment cancellation check, off the queue lock: the target
-      // page typically landed in cache (via a demand read or an earlier
-      // prefetch) while this job waited.
-      if (job.cancel && job.cancel()) {
-        std::lock_guard<std::mutex> lock(queue->mu);
-        ++queue->spec_cancelled;
-        if (queue->spec_cancelled_total != nullptr) {
-          queue->spec_cancelled_total->Add(1);
-        }
-        continue;
-      }
-      job.fn();
-      std::lock_guard<std::mutex> lock(queue->mu);
-      ++queue->spec_completed;
-      continue;
+      queue->cv.wait(lock,
+                     [queue] { return queue->stop || !queue->jobs.empty(); });
+      if (queue->jobs.empty()) return;  // stopping, and drained
+      job = std::move(queue->jobs.front());
+      queue->jobs.pop_front();
+      if (queue->queue_depth != nullptr) queue->queue_depth->Add(-1);
+      queue->space_cv.notify_one();
     }
     double start_s = 0.0;
     if (metered_) {
@@ -274,7 +163,6 @@ void DiskIoPool::WorkerLoop(DiskQueue* queue) {
     }
     {
       std::lock_guard<std::mutex> lock(queue->mu);
-      queue->demand_active = false;
       ++queue->completed;
     }
   }

@@ -1,53 +1,28 @@
-// Fixed pool of per-disk I/O worker threads with two-class scheduling.
+// Fixed pool of per-disk I/O worker threads.
 //
 // The paper's RAID-0 array serves requests on its D spindles
 // independently; the simulator models that with D FCFS queues
 // (sim/fcfs_server.h). This is the wall-clock counterpart: one worker
 // thread per disk, mirroring the declustering assignment, so an
 // activation batch of b pages placed on b different disks really issues
-// b concurrent preads against the backing files.
-//
-// Each disk runs a **two-class queue**:
-//
-//   * demand    — reads a query is waiting on (Submit / TrySubmit).
-//                 FIFO within the class, exactly the drive-queue model
-//                 the paper's response-time analysis assumes.
-//   * speculative — prefetch reads nobody waits on (SubmitSpeculative).
-//                 Served only while the disk has no demand work queued
-//                 (strict priority), and **cancellable**: each job may
-//                 carry a cancel predicate that the worker evaluates at
-//                 the moment it would start the job — a prefetch whose
-//                 page meanwhile landed in the cache is skipped, not
-//                 read. Queued speculative jobs are also cancelled
-//                 wholesale at shutdown instead of being paid for.
-//
-// Demand work therefore never queues behind speculation; the worst case
-// is one speculative read already in service when a demand job arrives
-// (no preemption — bounded by a single service time). Conservation holds
-// per pool: speculative_issued() == speculative_completed() +
-// speculative_cancelled() once the queues are drained.
+// b concurrent preads against the backing files. Each disk's queue is
+// FIFO — exactly the drive-queue model the paper's response-time
+// analysis assumes.
 //
 // With a MetricsRegistry attached, each disk reports its queue behavior —
 // the quantities the paper's response-time analysis is built on:
 // sqp_io_jobs_total{disk=d}, sqp_io_queue_depth{disk=d}, and the
 // sqp_io_wait_seconds / sqp_io_service_seconds histograms (time queued
-// before the worker picked the job up / time the job ran). These count
-// **demand traffic only**, so speculation can never skew the demand
-// latency picture; speculative jobs report separately via
-// sqp_io_speculative_issued_total{disk} and
-// sqp_io_speculative_cancelled_total{disk}.
+// before the worker picked the job up / time the job ran).
 //
-// Demand queues are bounded (DiskIoPoolOptions::max_queue_depth). Submit
-// blocks the submitting query thread until space frees up — backpressure
+// Queues are bounded (DiskIoPoolOptions::max_queue_depth). Submit blocks
+// the submitting query thread until space frees up — backpressure
 // instead of unbounded memory growth when queries outrun the media — and
 // counts each stall in sqp_io_backpressure_waits_total{disk}. TrySubmit
 // never blocks: a full queue rejects the job and counts it in
-// sqp_io_queue_rejections_total{disk}. Speculative queues have their own
-// (smaller) bound, max_speculative_depth; SubmitSpeculative never blocks
-// and rejections land in the same rejection counter. Workers never
-// submit jobs, so the blocking path cannot deadlock — and debug builds
-// enforce it: Submit asserts it is not running on one of this pool's
-// worker threads.
+// sqp_io_queue_rejections_total{disk}. Workers never submit jobs, so the
+// blocking path cannot deadlock — and debug builds enforce it: Submit
+// asserts it is not running on one of this pool's worker threads.
 
 #ifndef SQP_EXEC_IO_POOL_H_
 #define SQP_EXEC_IO_POOL_H_
@@ -66,14 +41,10 @@
 namespace sqp::exec {
 
 struct DiskIoPoolOptions {
-  // Per-disk demand queue capacity (jobs queued, not counting the one in
+  // Per-disk queue capacity (jobs queued, not counting the one in
   // service). Deliberately generous: the bound exists to cap memory and
   // surface overload, not to throttle ordinary batches.
   size_t max_queue_depth = 1024;
-  // Per-disk bound on queued speculative jobs. Deliberately small:
-  // speculation queued behind a busy spindle goes stale fast, and the
-  // cancel predicate only runs at dequeue time.
-  size_t max_speculative_depth = 64;
 };
 
 class DiskIoPool : public IoBackend {
@@ -85,8 +56,7 @@ class DiskIoPool : public IoBackend {
                       obs::MetricsRegistry* metrics = nullptr,
                       const DiskIoPoolOptions& options = {});
 
-  // Drains every demand queue and cancels every queued speculative job,
-  // then joins the workers.
+  // Drains every queue, then joins the workers.
   ~DiskIoPool() override;
 
   DiskIoPool(const DiskIoPool&) = delete;
@@ -96,55 +66,26 @@ class DiskIoPool : public IoBackend {
 
   int num_disks() const override { return static_cast<int>(queues_.size()); }
 
-  // Enqueues a demand job on `disk`'s queue, blocking while the queue is
-  // at capacity. The job runs on that disk's worker thread; completion
+  // Enqueues a job on `disk`'s queue, blocking while the queue is at
+  // capacity. The job runs on that disk's worker thread; completion
   // signalling is the caller's business (the engine uses a per-batch
   // counter + condvar). Must not be called from a worker thread — the
   // blocking path would self-deadlock on a full queue — and debug builds
   // abort if it is (see OnWorkerThread).
   void Submit(int disk, std::function<void()> job) override;
 
-  // Non-blocking demand variant: enqueues `job` if the queue has space,
-  // returns false (dropping the job) if it is full or stopping.
+  // Non-blocking variant: enqueues `job` if the queue has space, returns
+  // false (dropping the job) if it is full or stopping.
   bool TrySubmit(int disk, std::function<void()> job) override;
 
-  // Enqueues a speculative job: runs only when `disk` has no demand work
-  // queued, and is skipped — counted cancelled, `job` destroyed unrun —
-  // if `cancel` (optional) returns true at the moment the worker would
-  // start it, or if the pool shuts down first. Never blocks; returns
-  // false (counting a rejection) when the speculative queue is full or
-  // the pool is stopping. `cancel` is invoked at most once, off the
-  // queue lock, on the worker thread.
-  bool SubmitSpeculative(int disk, std::function<void()> job,
-                         std::function<bool()> cancel = nullptr) override;
-
-  // Demand jobs executed so far, summed over all disks (monotonic).
+  // Jobs executed so far, summed over all disks (monotonic).
   uint64_t jobs_completed() const override;
 
   // Times Submit had to wait for queue space, summed over all disks.
   uint64_t backpressure_waits() const override;
 
-  // Jobs TrySubmit / SubmitSpeculative rejected for lack of space,
-  // summed over all disks.
+  // Jobs TrySubmit rejected for lack of space, summed over all disks.
   uint64_t queue_rejections() const override;
-
-  // Speculative-class accounting, summed over all disks. Once the
-  // queues are drained: issued == completed + cancelled.
-  uint64_t speculative_issued() const override;     // accepted into a queue
-  uint64_t speculative_completed() const override;  // actually ran
-  uint64_t speculative_cancelled() const override;  // skipped
-
-  // Demand jobs queued on `disk` right now (not counting one in
-  // service). The prefetch controller's per-disk pressure signal: a
-  // nonzero depth means speculation would queue behind waiting queries.
-  size_t demand_queue_depth(int disk) const override;
-
-  // True when `disk` has demand work queued *or in service*. The
-  // engine's prefetch issue-time gate: a spindle mid-demand-read is not
-  // idle, and speculation offered to it would extend the very queue the
-  // paper's response-time analysis wants short. (A speculative job in
-  // service does not count — speculation may chain on an idle disk.)
-  bool demand_busy(int disk) const override;
 
   // True when the calling thread is one of this pool's I/O workers.
   bool OnWorkerThread() const override;
@@ -152,23 +93,17 @@ class DiskIoPool : public IoBackend {
  private:
   struct QueuedJob {
     std::function<void()> fn;
-    std::function<bool()> cancel;  // speculative jobs only; may be null
-    double enqueue_s = 0.0;        // only meaningful when metered
+    double enqueue_s = 0.0;  // only meaningful when metered
   };
 
   struct DiskQueue {
     mutable std::mutex mu;
     std::condition_variable cv;        // signals the worker: job available
     std::condition_variable space_cv;  // signals submitters: space freed
-    std::deque<QueuedJob> jobs;        // demand class (strict priority)
-    std::deque<QueuedJob> spec_jobs;   // speculative class
-    uint64_t completed = 0;            // demand jobs executed
+    std::deque<QueuedJob> jobs;
+    uint64_t completed = 0;  // jobs executed
     uint64_t backpressure_waits = 0;
     uint64_t rejections = 0;
-    uint64_t spec_issued = 0;
-    uint64_t spec_completed = 0;
-    uint64_t spec_cancelled = 0;
-    bool demand_active = false;  // worker currently running a demand job
     bool stop = false;
     // Instruments (null when unmetered). Written by Submit and the
     // worker; the instruments themselves are thread-safe.
@@ -176,24 +111,17 @@ class DiskIoPool : public IoBackend {
     obs::Gauge* queue_depth = nullptr;
     obs::Counter* backpressure_total = nullptr;
     obs::Counter* rejections_total = nullptr;
-    obs::Counter* spec_issued_total = nullptr;
-    obs::Counter* spec_cancelled_total = nullptr;
     obs::Histogram* wait_seconds = nullptr;
     obs::Histogram* service_seconds = nullptr;
   };
 
   void WorkerLoop(DiskQueue* queue);
 
-  // Counts every queued speculative job of `queue` as cancelled and
-  // drops it. Caller holds queue->mu.
-  void CancelQueuedSpeculativeLocked(DiskQueue* queue);
-
   // deque of queues: stable addresses, no copies.
   std::deque<DiskQueue> queues_;
   std::vector<std::thread> workers_;
   bool metered_ = false;
   size_t max_queue_depth_ = 0;
-  size_t max_speculative_depth_ = 0;
 };
 
 }  // namespace sqp::exec

@@ -24,18 +24,7 @@ ShardedPageCache::ShardedPageCache(const PageCacheOptions& options,
   }
 }
 
-void ShardedPageCache::ClaimIfSpeculativeLocked(Shard& shard, Frame& f,
-                                                bool* prefetched) {
-  if (!f.speculative) return;
-  f.speculative = false;
-  shard.speculative_resident -= 1;
-  ++shard.prefetch_hits;
-  if (m_prefetch_hits_ != nullptr) m_prefetch_hits_->Add(1);
-  if (prefetched != nullptr) *prefetched = true;
-}
-
-const FlatNode* ShardedPageCache::LookupPinned(uint64_t key,
-                                               bool* prefetched) {
+const FlatNode* ShardedPageCache::LookupPinned(uint64_t key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.frames.find(key);
@@ -47,38 +36,25 @@ const FlatNode* ShardedPageCache::LookupPinned(uint64_t key,
   ++shard.hits;
   if (m_hits_ != nullptr) m_hits_->Add(1);
   Frame& f = it->second;
-  ClaimIfSpeculativeLocked(shard, f, prefetched);
   ++f.pins;
   shard.lru.splice(shard.lru.begin(), shard.lru, f.lru_pos);
   return &f.node;
 }
 
-const FlatNode* ShardedPageCache::ProbePinned(uint64_t key,
-                                              bool* prefetched) {
+const FlatNode* ShardedPageCache::ProbePinned(uint64_t key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.frames.find(key);
   if (it == shard.frames.end() || it->second.dying) return nullptr;
   Frame& f = it->second;
-  // Only demand probes (prefetched != nullptr) may claim a speculative
-  // frame; a prefetch job probing its own target must not count a hit.
-  if (prefetched != nullptr) ClaimIfSpeculativeLocked(shard, f, prefetched);
   ++f.pins;
   shard.lru.splice(shard.lru.begin(), shard.lru, f.lru_pos);
   return &f.node;
 }
 
-bool ShardedPageCache::Contains(uint64_t key) const {
-  const Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.frames.find(key);
-  return it != shard.frames.end() && !it->second.dying;
-}
-
 const FlatNode* ShardedPageCache::InsertPinned(uint64_t key,
                                                FlatNode node,
-                                               uint32_t span,
-                                               bool speculative) {
+                                               uint32_t span) {
   SQP_CHECK(span >= 1);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -86,14 +62,6 @@ const FlatNode* ShardedPageCache::InsertPinned(uint64_t key,
   if (it != shard.frames.end() && !it->second.dying) {
     // Raced with another inserter; keep the resident copy.
     Frame& f = it->second;
-    if (!speculative && f.speculative) {
-      // A demand read completed even though the page was (speculatively)
-      // resident: that speculation saved nothing. Resolve it as waste.
-      f.speculative = false;
-      shard.speculative_resident -= 1;
-      ++shard.prefetch_wasted;
-      if (m_prefetch_wasted_ != nullptr) m_prefetch_wasted_->Add(1);
-    }
     ++f.pins;
     shard.lru.splice(shard.lru.begin(), shard.lru, f.lru_pos);
     return &f.node;
@@ -112,14 +80,9 @@ const FlatNode* ShardedPageCache::InsertPinned(uint64_t key,
   f.node = std::move(node);
   f.span = span;
   f.pins = 1;
-  f.speculative = speculative;
   f.lru_pos = shard.lru.begin();
   shard.resident_pages += span;
   ++shard.insertions;
-  if (speculative) {
-    ++shard.speculative_insertions;
-    shard.speculative_resident += 1;
-  }
   if (m_insertions_ != nullptr) m_insertions_->Add(1);
   if (m_resident_ != nullptr) m_resident_->Add(span);
   EvictLocked(shard);
@@ -146,13 +109,6 @@ void ShardedPageCache::EraseFrameLocked(
     Shard& shard, std::unordered_map<uint64_t, Frame>::iterator it) {
   SQP_DCHECK(it->second.pins == 0);
   shard.resident_pages -= it->second.span;
-  if (it->second.speculative) {
-    // Retired before any demand access claimed it: the prefetch read
-    // pages nobody wanted in time.
-    shard.speculative_resident -= 1;
-    ++shard.prefetch_wasted;
-    if (m_prefetch_wasted_ != nullptr) m_prefetch_wasted_->Add(1);
-  }
   if (m_resident_ != nullptr) {
     m_resident_->Add(-static_cast<int64_t>(it->second.span));
   }
@@ -209,13 +165,6 @@ void ShardedPageCache::EvictLocked(Shard& shard) {
     }
     shard.resident_pages -= it->second.span;
     ++shard.evictions;
-    if (it->second.speculative) {
-      // Evicted before any demand access claimed it: the prefetch read
-      // pages nobody wanted in time.
-      shard.speculative_resident -= 1;
-      ++shard.prefetch_wasted;
-      if (m_prefetch_wasted_ != nullptr) m_prefetch_wasted_->Add(1);
-    }
     if (m_evictions_ != nullptr) m_evictions_->Add(1);
     if (m_resident_ != nullptr) m_resident_->Add(-static_cast<int64_t>(it->second.span));
     pos = shard.lru.erase(pos);
@@ -232,10 +181,6 @@ PageCacheStats ShardedPageCache::GetStats() const {
     stats.insertions += shard.insertions;
     stats.evictions += shard.evictions;
     stats.resident_pages += shard.resident_pages;
-    stats.speculative_insertions += shard.speculative_insertions;
-    stats.prefetch_hits += shard.prefetch_hits;
-    stats.prefetch_wasted += shard.prefetch_wasted;
-    stats.speculative_resident += shard.speculative_resident;
     stats.invalidations += shard.invalidations;
   }
   return stats;

@@ -35,14 +35,12 @@ struct BatchSync {
   common::Status error;
   IoFaultCounters counters;
   uint64_t coalesced = 0;  // pages found cached by the second-chance probe
-  uint64_t prefetch_hits = 0;  // of those, frames a prefetch put there
 
   void Done(const common::Status& status, const IoFaultCounters& job,
-            uint64_t job_coalesced, uint64_t job_prefetch_hits) {
+            uint64_t job_coalesced) {
     std::lock_guard<std::mutex> lock(mu);
     counters.Add(job);
     coalesced += job_coalesced;
-    prefetch_hits += job_prefetch_hits;
     if (error.ok() && !status.ok()) error = status;
     if (--pending == 0) cv.notify_one();
   }
@@ -88,12 +86,6 @@ ParallelQueryEngine::CreateMutable(storage::MutableIndex* index,
   if (options.query_threads < 1) {
     return common::Status::InvalidArgument("query_threads must be >= 1");
   }
-  EngineOptions opts = options;
-  // Prefetch hints name pages of one traversal's snapshot; issuing them
-  // against the live page map could read a location the next commit
-  // supersedes. Off until speculation is snapshot-aware.
-  opts.prefetch_budget = 0;
-  opts.prefetch_adaptive = false;
 
   // Point-in-time layout copy: the reader only uses it for the disk
   // count, page size and tree config, all immutable across commits AND
@@ -108,11 +100,11 @@ ParallelQueryEngine::CreateMutable(storage::MutableIndex* index,
   // generation flips: the reader captures this one pointer for its
   // lifetime, and a checkpoint retargets the facade (under the writer
   // lock, epoch gate drained) instead of invalidating the pointer.
-  auto reader = StoredIndexReader::OpenWithLayout(index->data_store(),
-                                                 std::move(boot), opts.retry);
+  auto reader = StoredIndexReader::OpenWithLayout(
+      index->data_store(), std::move(boot), options.retry);
   if (!reader.ok()) return reader.status();
   auto engine = std::unique_ptr<ParallelQueryEngine>(
-      new ParallelQueryEngine(index->index(), std::move(*reader), opts));
+      new ParallelQueryEngine(index->index(), std::move(*reader), options));
   engine->mindex_ = index;
   // Retire superseded frames on every commit. The callback runs under the
   // index's writer lock; the cache never calls back into the index, so
@@ -154,14 +146,6 @@ ParallelQueryEngine::ParallelQueryEngine(
         metrics_->GetCounter("sqp_engine_pages_fetched_total");
     instr_.coalesced =
         metrics_->GetCounter("sqp_engine_coalesced_reads_total");
-    instr_.prefetch_issued =
-        metrics_->GetCounter("sqp_engine_prefetch_issued_total");
-    instr_.prefetch_hits =
-        metrics_->GetCounter("sqp_engine_prefetch_hits_total");
-    instr_.prefetch_wasted =
-        metrics_->GetCounter("sqp_engine_prefetch_wasted_total");
-    instr_.prefetch_pages_read =
-        metrics_->GetCounter("sqp_engine_prefetch_pages_read_total");
     instr_.deadline_exceeded =
         metrics_->GetCounter("sqp_engine_deadline_exceeded_total");
     instr_.cancelled = metrics_->GetCounter("sqp_engine_cancelled_total");
@@ -181,10 +165,6 @@ ParallelQueryEngine::ParallelQueryEngine(
   cache_options.capacity_pages = options.cache_pages;
   cache_options.shards = options.cache_shards;
   cache_ = std::make_unique<ShardedPageCache>(cache_options, metrics_);
-  // Prefetch hit/waste events are only observable inside the cache, but
-  // they are engine-level quantities; route them into our counters.
-  cache_->SetPrefetchInstruments(instr_.prefetch_hits,
-                                 instr_.prefetch_wasted);
   if (options.io_backend == IoBackendKind::kUring) {
     if (options.serial_io) {
       io_fallback_reason_ = "serial_io mode reads on the query thread";
@@ -206,23 +186,6 @@ ParallelQueryEngine::ParallelQueryEngine(
     io_pool_ = std::make_unique<DiskIoPool>(reader_->num_disks(), metrics_,
                                             pool_options);
   }
-  if (options.prefetch_adaptive && !options.serial_io) {
-    AdaptivePrefetchController::Options ctl_options;
-    // At most one speculative read per spindle beyond demand work.
-    ctl_options.max_budget = reader_->num_disks();
-    prefetch_ctl_ = std::make_unique<AdaptivePrefetchController>(
-        ctl_options, [this] {
-          AdaptivePrefetchController::Signals s;
-          const PageCacheStats cs = cache_->GetStats();
-          s.issued = io_pool_->speculative_issued();
-          s.hits = cs.prefetch_hits;
-          s.wasted = cs.prefetch_wasted +
-                     prefetch_wasted_extra_.load(std::memory_order_relaxed);
-          s.evictions = cs.evictions;
-          s.insertions = cs.insertions;
-          return s;
-        });
-  }
 }
 
 ParallelQueryEngine::~ParallelQueryEngine() {
@@ -232,12 +195,9 @@ ParallelQueryEngine::~ParallelQueryEngine() {
 }
 
 common::Status ParallelQueryEngine::FetchBatch(
-    const std::vector<rstar::PageId>& ids,
-    const std::vector<rstar::PageId>& prefetch_hints,
-    const storage::IndexLayout& layout,
+    const std::vector<rstar::PageId>& ids, const storage::IndexLayout& layout,
     std::vector<const FlatNode*>* slots, std::vector<uint64_t>* keys,
-    QueryOutcome* outcome, obs::TraceSpan* span,
-    const std::shared_ptr<PrefetchTally>& tally) {
+    QueryOutcome* outcome, obs::TraceSpan* span) {
   slots->assign(ids.size(), nullptr);
   keys->assign(ids.size(), 0);
   // Resolve every PageId against the traversal's snapshot up front: the
@@ -267,12 +227,9 @@ common::Status ParallelQueryEngine::FetchBatch(
   // assignment: each group becomes one job on that disk's worker.
   std::map<int, std::vector<size_t>> misses_by_disk;
   for (size_t i = 0; i < ids.size(); ++i) {
-    bool prefetched = false;
-    if (const FlatNode* node =
-            cache_->LookupPinned((*keys)[i], &prefetched)) {
+    if (const FlatNode* node = cache_->LookupPinned((*keys)[i])) {
       (*slots)[i] = node;
       ++outcome->cache_hits;
-      if (prefetched) ++outcome->prefetch_hits;
       if (span != nullptr) ++span->cache_hits;
       continue;
     }
@@ -300,11 +257,8 @@ common::Status ParallelQueryEngine::FetchBatch(
             // A previous leader may have read this page and completed in
             // the window between our cache-lookup miss and becoming
             // leader ourselves — re-probe before paying a duplicate read.
-            bool late_prefetched = false;
-            if (const core::FlatNode* cached =
-                    cache_->ProbePinned(key, &late_prefetched)) {
+            if (const core::FlatNode* cached = cache_->ProbePinned(key)) {
               (*slots)[i] = cached;
-              if (late_prefetched) ++outcome->prefetch_hits;
               coalescer_.Complete(key, common::Status::OK());
               continue;
             }
@@ -329,9 +283,7 @@ common::Status ParallelQueryEngine::FetchBatch(
               failure = leader_status;
               break;
             }
-            bool follower_prefetched = false;
-            (*slots)[i] = cache_->ProbePinned(key, &follower_prefetched);
-            if (follower_prefetched) ++outcome->prefetch_hits;
+            (*slots)[i] = cache_->ProbePinned(key);
           }
         }
         if (!failure.ok()) break;
@@ -406,7 +358,7 @@ common::Status ParallelQueryEngine::FetchBatch(
           for (size_t i : group.slots) {
             coalescer_.Complete((*keys)[i], planned);
           }
-          sync.Done(planned, IoFaultCounters{}, 0, 0);
+          sync.Done(planned, IoFaultCounters{}, 0);
           continue;
         }
       }
@@ -445,16 +397,14 @@ common::Status ParallelQueryEngine::FetchBatch(
             for (; n < group_slots->size(); ++n) {
               coalescer_.Complete((*keys)[(*group_slots)[n]], result);
             }
-            sync.Done(result, counters, 0, 0);
+            sync.Done(result, counters, 0);
           });
     }
-    IssuePrefetch(prefetch_hints, misses_by_disk, outcome, tally);
     // Pick up the deferred pages: their leaders (other queries' batches,
     // or our own submissions above) complete via the backend's reactor,
     // never on this thread, so blocking here cannot deadlock.
     common::Status follow_failure;
     uint64_t followed = 0;
-    uint64_t follow_prefetch_hits = 0;
     IoFaultCounters follow_counters;
     for (size_t i : deferred) {
       const uint64_t key = (*keys)[i];
@@ -464,11 +414,8 @@ common::Status ParallelQueryEngine::FetchBatch(
           // The leader finished but its page is already gone (tiny
           // cache): re-probe, then read serially ourselves. Rare by
           // construction.
-          bool late_prefetched = false;
-          if (const core::FlatNode* cached =
-                  cache_->ProbePinned(key, &late_prefetched)) {
+          if (const core::FlatNode* cached = cache_->ProbePinned(key)) {
             (*slots)[i] = cached;
-            if (late_prefetched) ++follow_prefetch_hits;
             coalescer_.Complete(key, common::Status::OK());
             continue;
           }
@@ -489,9 +436,7 @@ common::Status ParallelQueryEngine::FetchBatch(
             follow_failure = leader_status;
             break;
           }
-          bool follower_prefetched = false;
-          (*slots)[i] = cache_->ProbePinned(key, &follower_prefetched);
-          if (follower_prefetched) ++follow_prefetch_hits;
+          (*slots)[i] = cache_->ProbePinned(key);
         }
       }
       if (!follow_failure.ok()) break;
@@ -504,7 +449,6 @@ common::Status ParallelQueryEngine::FetchBatch(
     }
     outcome->io_faults += sync.counters.faults + follow_counters.faults;
     outcome->io_retries += sync.counters.retries + follow_counters.retries;
-    outcome->prefetch_hits += sync.prefetch_hits + follow_prefetch_hits;
     if (span != nullptr) {
       span->io_faults += sync.counters.faults + follow_counters.faults;
       span->io_retries += sync.counters.retries + follow_counters.retries;
@@ -540,17 +484,13 @@ common::Status ParallelQueryEngine::FetchBatch(
         std::vector<storage::PageLocation> to_read_locs;
         std::vector<size_t> to_read_slots;
         uint64_t job_coalesced = 0;
-        uint64_t job_prefetch_hits = 0;
         to_read.reserve(group->size());
         to_read_locs.reserve(group->size());
         to_read_slots.reserve(group->size());
         for (size_t i : *group) {
-          bool prefetched = false;
-          if (const FlatNode* node = cache_->ProbePinned((*keys)[i],
-                                                         &prefetched)) {
+          if (const FlatNode* node = cache_->ProbePinned((*keys)[i])) {
             (*slots)[i] = node;
             ++job_coalesced;
-            if (prefetched) ++job_prefetch_hits;
           } else {
             to_read.push_back(ids[i]);
             to_read_locs.push_back(locs[i]);
@@ -571,15 +511,13 @@ common::Status ParallelQueryEngine::FetchBatch(
             }
           }
         }
-        sync.Done(read, counters, job_coalesced, job_prefetch_hits);
+        sync.Done(read, counters, job_coalesced);
       });
     }
-    IssuePrefetch(prefetch_hints, misses_by_disk, outcome, tally);
     common::Status batch = sync.Wait();
     outcome->io_faults += sync.counters.faults;
     outcome->io_retries += sync.counters.retries;
     outcome->coalesced_reads += sync.coalesced;
-    outcome->prefetch_hits += sync.prefetch_hits;
     if (instr_.coalesced != nullptr && sync.coalesced > 0) {
       instr_.coalesced->Add(static_cast<int64_t>(sync.coalesced));
     }
@@ -594,93 +532,8 @@ common::Status ParallelQueryEngine::FetchBatch(
       slots->assign(ids.size(), nullptr);
       return batch;
     }
-  } else {
-    IssuePrefetch(prefetch_hints, misses_by_disk, outcome, tally);
   }
   return common::Status::OK();
-}
-
-void ParallelQueryEngine::NotePrefetchWasted(
-    const std::shared_ptr<PrefetchTally>& tally) {
-  prefetch_wasted_extra_.fetch_add(1, std::memory_order_relaxed);
-  if (instr_.prefetch_wasted != nullptr) instr_.prefetch_wasted->Add(1);
-  if (tally != nullptr) {
-    tally->wasted.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ParallelQueryEngine::IssuePrefetch(
-    const std::vector<rstar::PageId>& hints,
-    const std::map<int, std::vector<size_t>>& busy_disks,
-    QueryOutcome* outcome, const std::shared_ptr<PrefetchTally>& tally) {
-  if (options_.serial_io) return;
-  // Consult the controller every step (its refresh clock runs on
-  // consults) even when this step carries no hints.
-  int budget = prefetch_ctl_ != nullptr ? prefetch_ctl_->Consult()
-                                        : options_.prefetch_budget;
-  if (budget <= 0 || hints.empty()) return;
-  // Prefetch only runs in static-image mode (CreateMutable forces it
-  // off), so the reader's boot-time layout is the live page map and its
-  // location keys match the ones FetchBatch derives per snapshot.
-  for (rstar::PageId hint : hints) {
-    if (budget <= 0) break;
-    auto loc = reader_->LocationOf(hint);
-    if (!loc.ok()) continue;
-    const uint64_t key = storage::PageLocationKey(*loc);
-    // Demand misses own their disks this step; speculation only rides on
-    // disks the batch left idle (batch < NumDisks — the idle-spindle
-    // window CRSS's candidate runs are meant to fill)...
-    if (busy_disks.count(loc->disk) != 0) continue;
-    // ...and only on disks with no *other* queries' demand work queued
-    // or in service (demand_busy): under concurrency every spindle is
-    // somebody's demand spindle, and a speculative read still costs a
-    // full media service time. Queue depth alone misses the saturated
-    // case — a disk mid-demand-read with an empty queue is not idle.
-    if (io_pool_->demand_busy(loc->disk)) continue;
-    if (cache_->Contains(key)) continue;  // already resident
-    const int disk = loc->disk;
-    const uint32_t span_pages = loc->span;
-    const storage::PageLocation hint_loc = *loc;
-    // Fire-and-forget speculative-class job: demand jobs overtake it in
-    // queue, and the cancel predicate retires it unread if its page
-    // arrives some other way first. A full speculative queue simply
-    // drops it (queue_rejections counts the drop). The engine's
-    // destruction order guarantees the pool drains before cache/reader
-    // go away; `tally` is shared, so it outlives the issuing query.
-    const bool accepted = io_pool_->SubmitSpeculative(
-        disk,
-        [this, hint, hint_loc, key, span_pages, tally] {
-          if (cache_->Contains(key)) {
-            // A demand read (or another prefetch) beat us between the
-            // cancel check and now.
-            NotePrefetchWasted(tally);
-            return;
-          }
-          common::Result<core::FlatNode> node =
-              reader_->ReadFlatNodeAt(hint, hint_loc);
-          if (!node.ok()) {
-            // Speculation failing is not an error, but it bought nothing.
-            NotePrefetchWasted(tally);
-            return;
-          }
-          if (instr_.prefetch_pages_read != nullptr) {
-            instr_.prefetch_pages_read->Add(span_pages);
-          }
-          cache_->InsertPinned(key, std::move(*node), span_pages,
-                               /*speculative=*/true);
-          cache_->Unpin(key);
-        },
-        [this, key, tally] {
-          if (!cache_->Contains(key)) return false;
-          NotePrefetchWasted(tally);
-          return true;
-        });
-    if (accepted) {
-      --budget;
-      ++outcome->prefetch_issued;
-      if (instr_.prefetch_issued != nullptr) instr_.prefetch_issued->Add(1);
-    }
-  }
 }
 
 QueryOutcome ParallelQueryEngine::RunQuery(const EngineQuery& query) {
@@ -761,21 +614,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
       options.deadline_s > 0.0 ? start + options.deadline_s
                                : std::numeric_limits<double>::infinity();
 
-  // Prefetch attribution shared with this traversal's fire-and-forget
-  // speculative jobs; their waste events recorded after the traversal
-  // returns go to the global counters only.
-  std::shared_ptr<PrefetchTally> tally;
-  if (!options_.serial_io &&
-      (options_.prefetch_budget > 0 || prefetch_ctl_ != nullptr)) {
-    tally = std::make_shared<PrefetchTally>();
-  }
-  auto tally_wasted = [&answer, &tally] {
-    if (tally != nullptr) {
-      answer.prefetch_wasted =
-          tally->wasted.load(std::memory_order_relaxed);
-    }
-  };
-
   std::vector<const FlatNode*> slots;
   std::vector<uint64_t> keys;
 
@@ -803,7 +641,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
           "index poisoned by an earlier commit failure; recover by "
           "reopening from the log");
       answer.latency_s = NowSeconds() - start;
-      tally_wasted();
       return answer;
     }
     layout = mindex_->layout_snapshot_locked();
@@ -831,7 +668,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
           std::string(options.algo_name) + " query cancelled after " +
           std::to_string(answer.steps) + " steps");
       answer.latency_s = NowSeconds() - start;
-      tally_wasted();
       return answer;
     }
     if (NowSeconds() > deadline) {
@@ -840,7 +676,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
           std::string(options.algo_name) + " query exceeded its " +
           std::to_string(options.deadline_s) + " s deadline");
       answer.latency_s = NowSeconds() - start;
-      tally_wasted();
       return answer;
     }
     ++answer.steps;
@@ -858,8 +693,8 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
       fetch_start = NowSeconds();
       span.start_s = fetch_start - trace_->epoch_seconds();
     }
-    answer.status = FetchBatch(step.requests, step.prefetch_hints, *layout,
-                               &slots, &keys, &answer, span_ptr, tally);
+    answer.status =
+        FetchBatch(step.requests, *layout, &slots, &keys, &answer, span_ptr);
     if (span_ptr != nullptr) fetch_end = NowSeconds();
     if (instr_.steps != nullptr) {
       instr_.steps->Add(1);
@@ -871,7 +706,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
         trace_->Record(std::move(span));
       }
       answer.latency_s = NowSeconds() - start;
-      tally_wasted();
       return answer;
     }
     std::vector<core::FetchedPage> pages;
@@ -900,7 +734,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
     ++step_index;
   }
   answer.latency_s = NowSeconds() - start;
-  tally_wasted();
   return answer;
 }
 

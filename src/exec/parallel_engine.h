@@ -24,7 +24,6 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -34,7 +33,6 @@
 #include "exec/coalescer.h"
 #include "exec/io_pool.h"
 #include "exec/page_cache.h"
-#include "exec/prefetch_controller.h"
 #include "exec/stored_index.h"
 #include "geometry/point.h"
 #include "obs/metrics.h"
@@ -70,29 +68,9 @@ struct EngineOptions {
   bool serial_io = false;
   // Per-disk I/O queue bound (see DiskIoPoolOptions::max_queue_depth).
   size_t io_queue_depth = 1024;
-  // Backend the per-disk demand/speculative work runs on. Ignored in
-  // serial_io mode (no backend work there). See IoBackendKind.
+  // Backend the per-disk reads run on. Ignored in serial_io mode (no
+  // backend work there). See IoBackendKind.
   IoBackendKind io_backend = IoBackendKind::kThreads;
-  // Speculative prefetch: when a step's activation batch leaves disks
-  // idle and the algorithm supplied prefetch hints (CRSS hints its top
-  // deferred candidate-run pages), up to this many hinted pages per step
-  // are offered to the speculative class of the idle disks' queues
-  // (DiskIoPool::SubmitSpeculative — demand work always runs first, and
-  // a queued speculation is cancelled if its page arrives some other
-  // way). 0 disables prefetch — the default. Speculative reads are
-  // separately accounted (sqp_engine_prefetch_pages_read_total), so the
-  // docs/OBSERVABILITY.md conservation identities keep holding for
-  // demand traffic either way.
-  int prefetch_budget = 0;
-  // Feedback-controlled prefetch: ignore the static budget above and let
-  // an AdaptivePrefetchController (prefetch_controller.h) recompute the
-  // per-step budget from the windowed prefetch hit rate, cache pressure,
-  // and per-disk demand queue depth — speculation scales up only while
-  // the accounting shows it paying for itself, capped at the disk count.
-  // This is the policy `--prefetch=adaptive` selects and the bench's
-  // prefetch series runs. No effect in serial_io mode (no prefetch
-  // there either way).
-  bool prefetch_adaptive = false;
   // How hard the stored-index reader fights transient media faults
   // before a record's failure surfaces as the query's status.
   RetryPolicy retry;
@@ -168,17 +146,6 @@ struct QueryOutcome {
   // in-flight read joins (serial_io) plus pages found already cached by
   // the second-chance probe inside its disk jobs (pooled mode).
   uint64_t coalesced_reads = 0;
-  // Speculative pages this query's steps pushed to idle disks.
-  uint64_t prefetch_issued = 0;
-  // Demand page requests of this query served from a frame some query's
-  // prefetch read ahead of time (each saved one blocking media read).
-  uint64_t prefetch_hits = 0;
-  // Of the speculative jobs *this query* issued: how many were resolved
-  // as pointless by the time the query finished — cancelled in queue or
-  // skipped because the page had meanwhile arrived some other way.
-  // Best-effort attribution (a job still in flight at query end reports
-  // to the global sqp_engine_prefetch_wasted_total counter only).
-  uint64_t prefetch_wasted = 0;
   // True when the query stopped because its deadline passed (status then
   // carries StatusCode::kDeadlineExceeded). Lets callers separate "the
   // system was too slow" from data errors without string matching.
@@ -214,8 +181,7 @@ class ParallelQueryEngine {
   // arrives as a full-invalidate commit callback. The engine registers
   // the index's commit callback to retire superseded cache frames;
   // `index` must outlive the engine, and only one engine may be attached
-  // to it at a time. Speculative prefetch is forced off in this mode
-  // (hints name pages of a snapshot, not of the live page map).
+  // to it at a time.
   static common::Result<std::unique_ptr<ParallelQueryEngine>> CreateMutable(
       storage::MutableIndex* index, const EngineOptions& options);
 
@@ -269,12 +235,6 @@ class ParallelQueryEngine {
                       std::unique_ptr<StoredIndexReader> reader,
                       const EngineOptions& options);
 
-  // Per-traversal prefetch attribution, shared with the fire-and-forget
-  // speculative jobs (which may outlive the traversal's stack frame).
-  struct PrefetchTally {
-    std::atomic<uint64_t> wasted{0};
-  };
-
   // Fetches `ids` — cache first, then one DiskIoPool job per missed disk —
   // and stores pinned nodes into `slots` (aligned with `ids`), with each
   // slot's cache key in `keys` (pass these to Unpin). PageIds resolve
@@ -282,32 +242,12 @@ class ParallelQueryEngine {
   // against an immutable store, a MutableIndex snapshot otherwise. On
   // error every successfully pinned slot is unpinned and cleared. `span`,
   // when non-null, receives this step's cache/io breakdown (trace
-  // recording). `prefetch_hints` (may be empty) are speculative pages the
-  // algorithm would likely activate next; with a prefetch budget, hints
-  // are pushed to disks left idle by this step's demand misses. `tally`
-  // (null when prefetch is off) collects this traversal's speculative-
-  // waste events.
+  // recording).
   common::Status FetchBatch(const std::vector<rstar::PageId>& ids,
-                            const std::vector<rstar::PageId>& prefetch_hints,
                             const storage::IndexLayout& layout,
                             std::vector<const FlatNode*>* slots,
                             std::vector<uint64_t>* keys,
-                            QueryOutcome* outcome, obs::TraceSpan* span,
-                            const std::shared_ptr<PrefetchTally>& tally);
-
-  // Offers up to the step's prefetch budget (static, or the adaptive
-  // controller's current value) of hinted pages to the speculative class
-  // of disks that are neither in `busy_disks` nor holding queued demand
-  // work, as fire-and-forget cancellable jobs.
-  void IssuePrefetch(const std::vector<rstar::PageId>& hints,
-                     const std::map<int, std::vector<size_t>>& busy_disks,
-                     QueryOutcome* outcome,
-                     const std::shared_ptr<PrefetchTally>& tally);
-
-  // One speculative effort resolved without saving anything: counts into
-  // the registry, the adaptive controller's signal, and (via `tally`)
-  // the issuing query's outcome.
-  void NotePrefetchWasted(const std::shared_ptr<PrefetchTally>& tally);
+                            QueryOutcome* outcome, obs::TraceSpan* span);
 
   // `factory` constructs (or just returns) the traversal and is invoked
   // exactly once — under the mutable index's reader lock when attached to
@@ -344,22 +284,13 @@ class ParallelQueryEngine {
 
   std::unique_ptr<StoredIndexReader> reader_;
   std::unique_ptr<ShardedPageCache> cache_;
-  // Present only with EngineOptions::prefetch_adaptive (pooled mode).
-  // Consulted by query threads per step; samples cache_/io_pool_
-  // counters, so it is only used while both are alive.
-  std::unique_ptr<AdaptivePrefetchController> prefetch_ctl_;
-  // Speculative waste resolved outside the cache's accounting (jobs
-  // cancelled in queue, or skipped/failed at execution) — the adaptive
-  // controller adds this to the cache's prefetch_wasted for its signal.
-  std::atomic<uint64_t> prefetch_wasted_extra_{0};
   // In-flight read table for serial_io mode; pooled mode coalesces via
   // the per-disk worker serialization + second-chance cache probe.
   ReadCoalescer coalescer_;
   // Empty unless a requested backend could not be built (see accessor).
   std::string io_fallback_reason_;
   // Declared last so it is destroyed first: the backend's threads drain
-  // (including fire-and-forget prefetch jobs that touch cache_ and
-  // reader_) before anything they reference goes away.
+  // before the cache_ and reader_ their jobs touch go away.
   std::unique_ptr<IoBackend> io_pool_;
   std::atomic<uint64_t> next_query_id_{0};
   struct Instruments {
@@ -369,16 +300,6 @@ class ParallelQueryEngine {
     obs::Counter* page_requests = nullptr;
     obs::Counter* pages_fetched = nullptr;
     obs::Counter* coalesced = nullptr;
-    obs::Counter* prefetch_issued = nullptr;
-    // Incremented by the cache (hits, and evict/race waste — see
-    // ShardedPageCache::SetPrefetchInstruments) and by the engine
-    // (cancel/skip waste).
-    obs::Counter* prefetch_hits = nullptr;
-    obs::Counter* prefetch_wasted = nullptr;
-    // Pages speculative jobs actually read — the carve-out that keeps
-    // the per-disk reader totals reconcilable with demand pages_fetched
-    // when prefetch is on (docs/OBSERVABILITY.md).
-    obs::Counter* prefetch_pages_read = nullptr;
     obs::Counter* deadline_exceeded = nullptr;
     obs::Counter* cancelled = nullptr;
     obs::Gauge* inflight = nullptr;

@@ -118,8 +118,8 @@ struct UringIoBackend::Impl {
   bool fixed_files = false;  // fds registered (IOSQE_FIXED_FILE)
   std::vector<int> raw_fds;
   int inflight_window = 1;  // per-disk runs allowed on the ring at once
-  // Per-disk executor window: how many demand closures of one disk may
-  // run at once (lazy threads, spawned only under concurrent demand).
+  // Per-disk executor window: how many closures of one disk may run at
+  // once (lazy threads, spawned only under concurrent load).
   // This is the fd-less analogue of the ring's in-flight window — a
   // decorated store's merged runs overlap their charged service times
   // exactly as per-run READV SQEs overlap on the ring.
@@ -181,8 +181,7 @@ struct UringIoBackend::Impl {
   };
   struct ClosureJob {
     std::function<void()> fn;
-    std::function<bool()> cancel;  // speculative only; may be null
-    // Whether finishing this closure counts as one demand job in
+    // Whether finishing this closure counts as one job in
     // jobs_completed / sqp_io_jobs. Per-run slices of a batch do not
     // count (their batch counts once, when its last run lands).
     bool counts = true;
@@ -194,30 +193,21 @@ struct UringIoBackend::Impl {
     // disks' reads complete in the same instant (the common case on
     // throttled media, where every read charges the same service time).
     std::mutex mu;
-    std::deque<BatchJob> batches;      // demand read batches (fd mode)
-    std::deque<ClosureJob> demand;     // demand closures (executor)
-    std::deque<ClosureJob> spec;       // speculative closures (executor)
+    std::deque<BatchJob> batches;      // read batches (fd mode)
+    std::deque<ClosureJob> closures;   // closure jobs (executor)
     std::condition_variable work_cv;   // wakes the executor
     std::condition_variable space_cv;  // wakes blocked submitters
-    int exec_count = 0;     // executors spawned for this disk
-    int exec_idle = 0;      // executors parked in work_cv.wait
-    int demand_active = 0;  // executors mid-demand-closure
-    // Demand batches accepted for this disk and not yet finished —
-    // queued, planned, or with runs in flight. Nonzero means the spindle
-    // is demand-busy even though no queue shows the work.
-    int ring_busy = 0;
+    int exec_count = 0;  // executors spawned for this disk
+    int exec_idle = 0;   // executors parked in work_cv.wait
   };
   std::deque<DiskIntake> intake;  // deque: stable addresses, no moves
   std::atomic<bool> stop{false};
   std::mutex exec_mu;  // guards `executors` (spawned lazily)
 
   // ---- stats (atomics: touched from every disk's threads) --------------
-  std::atomic<uint64_t> completed{0};  // demand jobs: closures + batches
+  std::atomic<uint64_t> completed{0};  // jobs: closures + batches
   std::atomic<uint64_t> backpressure{0};
   std::atomic<uint64_t> rejections{0};
-  std::atomic<uint64_t> spec_issued{0};
-  std::atomic<uint64_t> spec_completed{0};
-  std::atomic<uint64_t> spec_cancelled{0};
   std::atomic<uint64_t> runs_submitted{0};
   std::atomic<uint64_t> runs_completed{0};
   std::atomic<uint64_t> runs_cancelled{0};
@@ -227,8 +217,6 @@ struct UringIoBackend::Impl {
   std::vector<obs::Gauge*> m_inflight;
   std::vector<obs::Counter*> m_backpressure;
   std::vector<obs::Counter*> m_rejections;
-  std::vector<obs::Counter*> m_spec_issued;
-  std::vector<obs::Counter*> m_spec_cancelled;
   obs::Histogram* m_submit_batch = nullptr;
   obs::Histogram* m_completion_s = nullptr;
 
@@ -540,20 +528,12 @@ struct UringIoBackend::Impl {
       bc->done(bc->status);  // no locks held: the callback may resubmit
     }
     for (BatchCtx* bc : done_now) {
-      DiskIntake& q = intake[static_cast<size_t>(bc->disk)];
-      {
-        std::lock_guard<std::mutex> lock(q.mu);
-        q.ring_busy--;
-        // The spindle may have gone demand-idle: queued speculation is
-        // eligible now.
-        if (q.ring_busy == 0 && !q.spec.empty()) q.work_cv.notify_all();
-      }
       completed.fetch_add(1, std::memory_order_relaxed);
       if (m_jobs[static_cast<size_t>(bc->disk)] != nullptr) {
         m_jobs[static_cast<size_t>(bc->disk)]->Add(1);
       }
+      delete bc;
     }
-    for (BatchCtx* bc : done_now) delete bc;
   }
 
   // ----------------------------------------------------------- executors
@@ -561,8 +541,7 @@ struct UringIoBackend::Impl {
   // Called with the disk's intake lock held. Spawns the disk's first
   // executor, and further ones (up to exec_window) only when work is
   // queued and every existing executor is busy — the thread count grows
-  // to the per-disk demand concurrency actually observed, never past the
-  // window.
+  // to the per-disk concurrency actually observed, never past the window.
   void EnsureExecutorLocked(int disk) {
     DiskIntake& q = intake[static_cast<size_t>(disk)];
     if (q.exec_count > 0 && (q.exec_idle > 0 || q.exec_count >= exec_window)) {
@@ -580,72 +559,38 @@ struct UringIoBackend::Impl {
     for (;;) {
       q.exec_idle++;
       q.work_cv.wait(lock, [&] {
-        return stop.load(std::memory_order_acquire) || !q.demand.empty() ||
-               (!q.spec.empty() && q.demand.empty() &&
-                q.demand_active == 0 && q.ring_busy == 0);
+        return stop.load(std::memory_order_acquire) || !q.closures.empty();
       });
       q.exec_idle--;
-      if (stop.load(std::memory_order_acquire) && !q.spec.empty()) {
-        // Shutdown cancels queued speculation wholesale instead of paying
-        // for it.
-        spec_cancelled.fetch_add(q.spec.size(), std::memory_order_relaxed);
-        if (m_spec_cancelled[static_cast<size_t>(disk)] != nullptr) {
-          m_spec_cancelled[static_cast<size_t>(disk)]->Add(q.spec.size());
+      if (q.closures.empty()) return;  // stopping, and drained
+      ClosureJob job = std::move(q.closures.front());
+      q.closures.pop_front();
+      q.space_cv.notify_all();
+      lock.unlock();
+      job.fn();
+      if (job.counts) {
+        completed.fetch_add(1, std::memory_order_relaxed);
+        if (m_jobs[static_cast<size_t>(disk)] != nullptr) {
+          m_jobs[static_cast<size_t>(disk)]->Add(1);
         }
-        q.spec.clear();
       }
-      if (!q.demand.empty()) {
-        ClosureJob job = std::move(q.demand.front());
-        q.demand.pop_front();
-        q.demand_active++;
-        q.space_cv.notify_all();
-        lock.unlock();
-        job.fn();
-        if (job.counts) {
-          completed.fetch_add(1, std::memory_order_relaxed);
-          if (m_jobs[static_cast<size_t>(disk)] != nullptr) {
-            m_jobs[static_cast<size_t>(disk)]->Add(1);
-          }
-        }
-        lock.lock();
-        q.demand_active--;
-        continue;
-      }
-      if (stop.load(std::memory_order_acquire)) return;
-      if (!q.spec.empty()) {
-        ClosureJob job = std::move(q.spec.front());
-        q.spec.pop_front();
-        lock.unlock();
-        // Cancel predicate runs off the lock, at the moment the job would
-        // start — the two-class contract.
-        const bool skip = job.cancel != nullptr && job.cancel();
-        if (!skip) job.fn();
-        if (skip) {
-          spec_cancelled.fetch_add(1, std::memory_order_relaxed);
-          if (m_spec_cancelled[static_cast<size_t>(disk)] != nullptr) {
-            m_spec_cancelled[static_cast<size_t>(disk)]->Add(1);
-          }
-        } else {
-          spec_completed.fetch_add(1, std::memory_order_relaxed);
-        }
-        lock.lock();
-      }
+      lock.lock();
     }
   }
 
-  void EnqueueDemandClosure(int disk, std::function<void()> fn,
-                            bool counts = true) {
+  void EnqueueClosure(int disk, std::function<void()> fn,
+                      bool counts = true) {
     DiskIntake& q = intake[static_cast<size_t>(disk)];
     std::unique_lock<std::mutex> lock(q.mu);
     SQP_CHECK(!stop.load(std::memory_order_acquire));
-    while (q.demand.size() >= options.max_queue_depth) {
+    while (q.closures.size() >= options.max_queue_depth) {
       backpressure.fetch_add(1, std::memory_order_relaxed);
       if (m_backpressure[static_cast<size_t>(disk)] != nullptr) {
         m_backpressure[static_cast<size_t>(disk)]->Add(1);
       }
       q.space_cv.wait(lock);
     }
-    q.demand.push_back(ClosureJob{std::move(fn), nullptr, counts});
+    q.closures.push_back(ClosureJob{std::move(fn), counts});
     EnsureExecutorLocked(disk);
     q.work_cv.notify_all();
   }
@@ -658,7 +603,6 @@ common::Result<std::unique_ptr<UringIoBackend>> UringIoBackend::Create(
   SQP_CHECK(options.ring_entries >= 2);
   SQP_CHECK(options.max_inflight_per_disk >= 1);
   SQP_CHECK(options.max_queue_depth >= 1);
-  SQP_CHECK(options.max_speculative_depth >= 1);
   UringProbe probe = ProbeIoUring();
   if (!probe.available) {
     return common::Status::Unavailable("io_uring unavailable: " +
@@ -702,8 +646,6 @@ common::Result<std::unique_ptr<UringIoBackend>> UringIoBackend::Create(
   impl->m_inflight.assign(static_cast<size_t>(disks), nullptr);
   impl->m_backpressure.assign(static_cast<size_t>(disks), nullptr);
   impl->m_rejections.assign(static_cast<size_t>(disks), nullptr);
-  impl->m_spec_issued.assign(static_cast<size_t>(disks), nullptr);
-  impl->m_spec_cancelled.assign(static_cast<size_t>(disks), nullptr);
   if (metrics != nullptr) {
     for (int d = 0; d < disks; ++d) {
       const auto i = static_cast<size_t>(d);
@@ -715,10 +657,6 @@ common::Result<std::unique_ptr<UringIoBackend>> UringIoBackend::Create(
           obs::WithLabel("sqp_io_backpressure_waits_total", "disk", d));
       impl->m_rejections[i] = metrics->GetCounter(
           obs::WithLabel("sqp_io_queue_rejections_total", "disk", d));
-      impl->m_spec_issued[i] = metrics->GetCounter(
-          obs::WithLabel("sqp_io_speculative_issued_total", "disk", d));
-      impl->m_spec_cancelled[i] = metrics->GetCounter(
-          obs::WithLabel("sqp_io_speculative_cancelled_total", "disk", d));
     }
     impl->m_submit_batch =
         metrics->GetHistogram("sqp_uring_submit_batch_size",
@@ -764,7 +702,7 @@ int UringIoBackend::num_disks() const { return impl_->disks; }
 void UringIoBackend::Submit(int disk, std::function<void()> job) {
   SQP_CHECK(disk >= 0 && disk < impl_->disks);
   SQP_DCHECK(!OnWorkerThread());
-  impl_->EnqueueDemandClosure(disk, std::move(job));
+  impl_->EnqueueClosure(disk, std::move(job));
 }
 
 bool UringIoBackend::TrySubmit(int disk, std::function<void()> job) {
@@ -773,38 +711,14 @@ bool UringIoBackend::TrySubmit(int disk, std::function<void()> job) {
   Impl::DiskIntake& q = im->intake[static_cast<size_t>(disk)];
   std::lock_guard<std::mutex> lock(q.mu);
   if (im->stop.load(std::memory_order_acquire) ||
-      q.demand.size() >= im->options.max_queue_depth) {
+      q.closures.size() >= im->options.max_queue_depth) {
     im->rejections.fetch_add(1, std::memory_order_relaxed);
     if (im->m_rejections[static_cast<size_t>(disk)] != nullptr) {
       im->m_rejections[static_cast<size_t>(disk)]->Add(1);
     }
     return false;
   }
-  q.demand.push_back(Impl::ClosureJob{std::move(job), nullptr});
-  im->EnsureExecutorLocked(disk);
-  q.work_cv.notify_all();
-  return true;
-}
-
-bool UringIoBackend::SubmitSpeculative(int disk, std::function<void()> job,
-                                       std::function<bool()> cancel) {
-  SQP_CHECK(disk >= 0 && disk < impl_->disks);
-  Impl* im = impl_.get();
-  Impl::DiskIntake& q = im->intake[static_cast<size_t>(disk)];
-  std::lock_guard<std::mutex> lock(q.mu);
-  if (im->stop.load(std::memory_order_acquire) ||
-      q.spec.size() >= im->options.max_speculative_depth) {
-    im->rejections.fetch_add(1, std::memory_order_relaxed);
-    if (im->m_rejections[static_cast<size_t>(disk)] != nullptr) {
-      im->m_rejections[static_cast<size_t>(disk)]->Add(1);
-    }
-    return false;
-  }
-  im->spec_issued.fetch_add(1, std::memory_order_relaxed);
-  if (im->m_spec_issued[static_cast<size_t>(disk)] != nullptr) {
-    im->m_spec_issued[static_cast<size_t>(disk)]->Add(1);
-  }
-  q.spec.push_back(Impl::ClosureJob{std::move(job), std::move(cancel)});
+  q.closures.push_back(Impl::ClosureJob{std::move(job)});
   im->EnsureExecutorLocked(disk);
   q.work_cv.notify_all();
   return true;
@@ -824,7 +738,7 @@ void UringIoBackend::SubmitBatchRead(
     // times inside one ReadPages call overlaps them instead, exactly as
     // per-run SQEs overlap on the ring. Throttling and fault injection
     // stay below the backend with per-access threads-backend semantics.
-    // The batch counts as one demand job (when its last run lands); each
+    // The batch counts as one job (when its last run lands); each
     // run counts once in the read-conservation identity.
     const std::vector<storage::ReadRun> runs = storage::PlanReadRuns(
         std::span<const storage::ReadRequest>(requests.data(),
@@ -849,7 +763,7 @@ void UringIoBackend::SubmitBatchRead(
       std::vector<storage::ReadRequest> slice;
       slice.reserve(run.indices.size());
       for (size_t idx : run.indices) slice.push_back(bc->requests[idx]);
-      im->EnqueueDemandClosure(
+      im->EnqueueClosure(
           disk,
           [im, disk, bc, slice = std::move(slice)] {
             const common::Status st =
@@ -885,7 +799,6 @@ void UringIoBackend::SubmitBatchRead(
       q.space_cv.wait(lock);
     }
     q.batches.push_back(Impl::BatchJob{std::move(requests), std::move(done)});
-    q.ring_busy++;
   }
   im->WakeReactor();
 }
@@ -900,32 +813,6 @@ uint64_t UringIoBackend::backpressure_waits() const {
 
 uint64_t UringIoBackend::queue_rejections() const {
   return impl_->rejections.load(std::memory_order_relaxed);
-}
-
-uint64_t UringIoBackend::speculative_issued() const {
-  return impl_->spec_issued.load(std::memory_order_relaxed);
-}
-
-uint64_t UringIoBackend::speculative_completed() const {
-  return impl_->spec_completed.load(std::memory_order_relaxed);
-}
-
-uint64_t UringIoBackend::speculative_cancelled() const {
-  return impl_->spec_cancelled.load(std::memory_order_relaxed);
-}
-
-size_t UringIoBackend::demand_queue_depth(int disk) const {
-  SQP_CHECK(disk >= 0 && disk < impl_->disks);
-  Impl::DiskIntake& q = impl_->intake[static_cast<size_t>(disk)];
-  std::lock_guard<std::mutex> lock(q.mu);
-  return q.batches.size() + q.demand.size();
-}
-
-bool UringIoBackend::demand_busy(int disk) const {
-  SQP_CHECK(disk >= 0 && disk < impl_->disks);
-  Impl::DiskIntake& q = impl_->intake[static_cast<size_t>(disk)];
-  std::lock_guard<std::mutex> lock(q.mu);
-  return q.ring_busy > 0 || !q.demand.empty() || q.demand_active > 0;
 }
 
 bool UringIoBackend::OnWorkerThread() const {
@@ -969,10 +856,6 @@ void UringIoBackend::Submit(int, std::function<void()>) {
   SQP_CHECK(false && "io_uring compiled out");
 }
 bool UringIoBackend::TrySubmit(int, std::function<void()>) { return false; }
-bool UringIoBackend::SubmitSpeculative(int, std::function<void()>,
-                                       std::function<bool()>) {
-  return false;
-}
 void UringIoBackend::SubmitBatchRead(int, std::vector<storage::ReadRequest>,
                                      std::function<void(common::Status)>) {
   SQP_CHECK(false && "io_uring compiled out");
@@ -980,11 +863,6 @@ void UringIoBackend::SubmitBatchRead(int, std::vector<storage::ReadRequest>,
 uint64_t UringIoBackend::jobs_completed() const { return 0; }
 uint64_t UringIoBackend::backpressure_waits() const { return 0; }
 uint64_t UringIoBackend::queue_rejections() const { return 0; }
-uint64_t UringIoBackend::speculative_issued() const { return 0; }
-uint64_t UringIoBackend::speculative_completed() const { return 0; }
-uint64_t UringIoBackend::speculative_cancelled() const { return 0; }
-size_t UringIoBackend::demand_queue_depth(int) const { return 0; }
-bool UringIoBackend::demand_busy(int) const { return false; }
 bool UringIoBackend::OnWorkerThread() const { return false; }
 bool UringIoBackend::using_raw_fds() const { return false; }
 uint64_t UringIoBackend::reads_submitted() const { return 0; }

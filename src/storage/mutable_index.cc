@@ -450,9 +450,9 @@ void MutableIndex::CompactionLoop() {
           due = (policy.max_wal_bytes > 0 && bytes > policy.max_wal_bytes) ||
                 (policy.max_wal_records > 0 &&
                  records >= policy.max_wal_records);
-          if (due && policy.min_interval_s > 0) {
+          if (due && policy.min_interval_s > 0 && last_checkpoint_) {
             const auto since =
-                std::chrono::steady_clock::now() - last_checkpoint_;
+                std::chrono::steady_clock::now() - *last_checkpoint_;
             due = std::chrono::duration<double>(since).count() >=
                   policy.min_interval_s;
           }

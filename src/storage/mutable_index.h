@@ -72,6 +72,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -243,9 +244,11 @@ class MutableIndex {
   uint64_t auto_checkpoints_ = 0;
   uint64_t wal_bytes_reclaimed_ = 0;
   uint64_t commits_since_checkpoint_ = 0;
-  // Epoch start, not now(): the first policy-triggered fold must not be
-  // suppressed by min_interval when the index has never checkpointed.
-  std::chrono::steady_clock::time_point last_checkpoint_{};
+  // Empty until this process checkpoints: the first policy-triggered fold
+  // is never suppressed by min_interval. (steady_clock's epoch is boot
+  // time, so a default-constructed time_point would suppress it on any
+  // host up for less than min_interval.)
+  std::optional<std::chrono::steady_clock::time_point> last_checkpoint_;
 
   // Background compaction. compact_mu_ orders only the thread's own
   // state (policy, stop/kick flags); the fold itself takes rw_mu_.

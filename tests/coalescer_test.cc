@@ -273,87 +273,5 @@ TEST(EngineCoalescingTest, SerialIoConcurrentMissesCoalesce) {
   EXPECT_EQ(counting.MaxReadsOfAnyLocation(), 1);
 }
 
-// --- CRSS-hint prefetch ---------------------------------------------------
-
-// Prefetch is off by default, and off must mean *off*: zero speculative
-// reads, so the strict metrics conservation identities of
-// docs/OBSERVABILITY.md keep holding without carve-outs.
-TEST(EnginePrefetchTest, DisabledByDefault) {
-  auto index = SmallIndex(31, 4);
-  storage::MemPageStore mem(4);
-  ASSERT_TRUE(storage::SaveIndex(*index, &mem).ok());
-
-  exec::EngineOptions options;
-  options.query_threads = 2;
-  options.cache_pages = 64;
-  auto engine = exec::ParallelQueryEngine::Create(*index, &mem, options);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-
-  std::vector<exec::EngineQuery> queries;
-  for (int i = 0; i < 6; ++i) {
-    queries.push_back({Point{0.1f * static_cast<float>(i), 0.5f}, 10,
-                       core::AlgorithmKind::kCrss});
-  }
-  const auto outcomes = (*engine)->RunBatch(queries);
-  for (const auto& o : outcomes) {
-    ASSERT_TRUE(o.status.ok()) << o.status.message();
-    EXPECT_EQ(o.prefetch_issued, 0u);
-  }
-  const obs::MetricsSnapshot snap = (*engine)->metrics()->Snapshot();
-  EXPECT_EQ(snap.CounterValue("sqp_engine_prefetch_issued_total"), 0u);
-}
-
-// With a budget, CRSS hints actually turn into speculative reads on idle
-// disks — and speculation changes neither the answers nor the per-query
-// page accounting (prefetched pages are charged to nobody; a later demand
-// hit on one shows up as a cache hit).
-TEST(EnginePrefetchTest, IssuesSpeculativeReadsWithoutChangingAnswers) {
-  auto index = SmallIndex(32, 6);
-  storage::MemPageStore mem(6);
-  ASSERT_TRUE(storage::SaveIndex(*index, &mem).ok());
-
-  std::vector<exec::EngineQuery> queries;
-  for (int i = 0; i < 8; ++i) {
-    queries.push_back({Point{0.13f * static_cast<float>(i % 7), 0.4f}, 15,
-                       core::AlgorithmKind::kCrss});
-  }
-
-  auto run = [&](int budget) {
-    exec::EngineOptions options;
-    options.query_threads = 1;  // deterministic page/hit accounting
-    options.cache_pages = 256;
-    options.prefetch_budget = budget;
-    auto engine = exec::ParallelQueryEngine::Create(*index, &mem, options);
-    SQP_CHECK(engine.ok());
-    auto outcomes = (*engine)->RunBatch(queries);
-    const uint64_t issued = (*engine)->metrics()->Snapshot().CounterValue(
-        "sqp_engine_prefetch_issued_total");
-    return std::make_pair(std::move(outcomes), issued);
-  };
-  const auto [plain, plain_issued] = run(0);
-  const auto [speculative, spec_issued] = run(4);
-
-  EXPECT_EQ(plain_issued, 0u);
-  EXPECT_GT(spec_issued, 0u);
-  ASSERT_EQ(plain.size(), speculative.size());
-  uint64_t issued_via_outcomes = 0;
-  for (size_t i = 0; i < plain.size(); ++i) {
-    ASSERT_TRUE(plain[i].status.ok()) << plain[i].status.message();
-    ASSERT_TRUE(speculative[i].status.ok())
-        << speculative[i].status.message();
-    ASSERT_EQ(plain[i].neighbors.size(), speculative[i].neighbors.size());
-    for (size_t j = 0; j < plain[i].neighbors.size(); ++j) {
-      EXPECT_EQ(plain[i].neighbors[j].object,
-                speculative[i].neighbors[j].object);
-      EXPECT_EQ(plain[i].neighbors[j].dist_sq,
-                speculative[i].neighbors[j].dist_sq);
-    }
-    // Speculative reads are charged to no query.
-    EXPECT_EQ(plain[i].pages_fetched, speculative[i].pages_fetched);
-    issued_via_outcomes += speculative[i].prefetch_issued;
-  }
-  EXPECT_EQ(issued_via_outcomes, spec_issued);
-}
-
 }  // namespace
 }  // namespace sqp

@@ -179,52 +179,6 @@ TEST(ExecMetricsTest, PerDiskReadsSumToPagesFetched) {
   }
 }
 
-// With prefetch on, speculation is the one sanctioned carve-out of the
-// reader identity: every per-disk read serves either a demand fetch or a
-// speculative job, so the per-disk totals reconcile as pages_fetched +
-// prefetch_pages_read. The demand identity (hits + misses == page
-// requests) is untouched — speculative probes never count as cache
-// traffic. Snapshot is taken from an external registry *after* the
-// engine drains, so in-flight speculative reads cannot undercount.
-TEST(ExecMetricsTest, PrefetchReadsReconcileWithDemandFetches) {
-  MetricsRig rig = MakeRig(40);
-  // All-CRSS: the only algorithm that emits prefetch hints.
-  for (exec::EngineQuery& q : rig.queries) {
-    q.algo = core::AlgorithmKind::kCrss;
-  }
-  obs::MetricsRegistry reg;  // outlives the engine
-  exec::EngineOptions options;
-  options.query_threads = 1;  // no cross-query pin sharing
-  options.cache_pages = 0;    // every demand fetch reads the store
-  options.prefetch_budget = 4;
-  options.metrics = &reg;
-
-  OutcomeTotals t;
-  {
-    auto engine =
-        exec::ParallelQueryEngine::Create(*rig.index, &rig.store, options);
-    ASSERT_TRUE(engine.ok()) << engine.status();
-    t = Sum((*engine)->RunBatch(rig.queries));
-    ASSERT_EQ(t.failed, 0u);
-    EXPECT_EQ(t.hits, 0u);
-  }  // drains the I/O pool: every accepted speculative read has landed
-
-  const obs::MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_GT(snap.CounterValue("sqp_engine_prefetch_issued_total"), 0u)
-      << "CRSS queries on idle disks issued no speculation";
-  // Demand identity: unchanged by prefetch.
-  EXPECT_EQ(snap.CounterValue("sqp_cache_hits_total") +
-                snap.CounterValue("sqp_cache_misses_total"),
-            snap.CounterValue("sqp_engine_page_requests_total"));
-  // Reader identity, prefetch form.
-  const uint64_t per_disk_sum =
-      snap.CounterSumByPrefix("sqp_reader_pages_read_total");
-  EXPECT_EQ(per_disk_sum,
-            snap.CounterValue("sqp_engine_pages_fetched_total") +
-                snap.CounterValue("sqp_engine_prefetch_pages_read_total"));
-  EXPECT_EQ(snap.CounterValue("sqp_engine_pages_fetched_total"), t.pages);
-}
-
 // Transient-only faults with a generous retry budget: every query heals,
 // and the retries it reports are exactly the retries the reader issued.
 TEST(ExecMetricsTest, RetriesSurfaceInOutcomesAndRegistry) {

@@ -335,6 +335,25 @@ TEST(DiskIoPoolTest, SubmitBlocksUntilSpaceAndCountsBackpressure) {
   EXPECT_EQ(pool.queue_rejections(), 0u);
 }
 
+#ifndef NDEBUG
+TEST(DiskIoPoolDeathTest, SubmitFromWorkerThreadAbortsInDebugBuilds) {
+  // Blocking Submit from a worker can self-deadlock on a full queue;
+  // debug builds turn the latent hazard into an immediate abort.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        DiskIoPool pool(1);
+        std::atomic<bool> done{false};
+        pool.Submit(0, [&] {
+          pool.Submit(0, [] {});  // aborts here
+          done.store(true);
+        });
+        while (!done.load()) std::this_thread::yield();
+      },
+      "OnWorkerThread");
+}
+#endif  // NDEBUG
+
 // --- Store-backed fixtures ------------------------------------------------
 
 std::unique_ptr<parallel::ParallelRStarTree> BuildSmallIndex(

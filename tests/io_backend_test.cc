@@ -302,10 +302,9 @@ TEST(UringBackendTest, InjectedFaultsGiveSameStatusesAsThreads) {
 
 // --- Conservation ---------------------------------------------------------
 
-// After a drain, every identity closes: demand runs
-// (reads_submitted == reads_completed + reads_cancelled) and speculation
-// (issued == completed + cancelled), on both the ring path (raw files)
-// and the executor fallback (MemPageStore).
+// After a drain, the read-run identity closes
+// (reads_submitted == reads_completed + reads_cancelled), on both the ring
+// path (raw files) and the executor fallback (MemPageStore).
 TEST(UringBackendTest, ConservationIdentitiesAfterDrain) {
   const exec::UringProbe probe = ProbeIoUring();
   if (!probe.available) {
@@ -334,7 +333,6 @@ TEST(UringBackendTest, ConservationIdentitiesAfterDrain) {
     ASSERT_TRUE(backend.ok()) << backend.status();
 
     std::atomic<int> batches_done{0};
-    std::atomic<bool> cancel_all{false};
     constexpr int kBatches = 40;
     std::vector<std::vector<uint8_t>> bufs(kBatches);
     for (int i = 0; i < kBatches; ++i) {
@@ -354,31 +352,22 @@ TEST(UringBackendTest, ConservationIdentitiesAfterDrain) {
                 << "batch " << i << " disk " << disk;
             batches_done.fetch_add(1);
           });
-      (*backend)->SubmitSpeculative(
-          disk, [] {}, [&] { return cancel_all.load(); });
     }
-    cancel_all.store(true);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
     while (std::chrono::steady_clock::now() < deadline) {
-      const bool demand_done =
+      const bool done =
           batches_done.load() == kBatches &&
           (*backend)->jobs_completed() == static_cast<uint64_t>(kBatches) &&
           (*backend)->reads_completed() + (*backend)->reads_cancelled() ==
               (*backend)->reads_submitted();
-      const bool spec_done = (*backend)->speculative_completed() +
-                                 (*backend)->speculative_cancelled() ==
-                             (*backend)->speculative_issued();
-      if (demand_done && spec_done) break;
+      if (done) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     EXPECT_EQ(batches_done.load(), kBatches);
     EXPECT_GT((*backend)->reads_submitted(), 0u);
     EXPECT_EQ((*backend)->reads_submitted(),
               (*backend)->reads_completed() + (*backend)->reads_cancelled());
-    EXPECT_EQ((*backend)->speculative_issued(),
-              (*backend)->speculative_completed() +
-                  (*backend)->speculative_cancelled());
     EXPECT_EQ((*backend)->jobs_completed(),
               static_cast<uint64_t>(kBatches));
   }
@@ -412,12 +401,12 @@ TEST(UringBackendTest, ForcedOffFallsBackToThreads) {
   for (const auto& a : answers) ASSERT_TRUE(a.status.ok()) << a.status;
 }
 
-// --- Cancellation races (run under TSan in CI) ----------------------------
+// --- Shutdown races (run under TSan in CI) --------------------------------
 
-// Speculative cancellation racing demand batches, closure jobs and the
-// backend's own shutdown: no data race, and the conservation identities
-// still close. Small sizes — the value is the interleavings under TSan.
-TEST(UringConcurrencyTest, CancellationRacesCompletions) {
+// Closure jobs racing read batches and the backend's own shutdown: no
+// data race, and every batch completes. Small sizes — the value is the
+// interleavings under TSan.
+TEST(UringConcurrencyTest, ShutdownRacesCompletions) {
   const exec::UringProbe probe = ProbeIoUring();
   if (!probe.available) {
     GTEST_SKIP() << "io_uring unavailable: " << probe.detail;
@@ -435,7 +424,6 @@ TEST(UringConcurrencyTest, CancellationRacesCompletions) {
   for (int round = 0; round < 4; ++round) {
     auto backend = UringIoBackend::Create(store->get());
     ASSERT_TRUE(backend.ok()) << backend.status();
-    std::atomic<bool> cancel{false};
     std::atomic<int> done{0};
     constexpr int kBatchesPerDisk = 25;
     std::vector<std::vector<uint8_t>> bufs(kDisks * kBatchesPerDisk);
@@ -454,23 +442,13 @@ TEST(UringConcurrencyTest, CancellationRacesCompletions) {
                                         EXPECT_TRUE(s.ok()) << s;
                                         done.fetch_add(1);
                                       });
-          (*backend)->SubmitSpeculative(
-              d, [&] { std::this_thread::yield(); },
-              [&] { return cancel.load(); });
-          if (i == kBatchesPerDisk / 2) cancel.store(true);
+          (*backend)->Submit(d, [] { std::this_thread::yield(); });
         }
       });
     }
-    submitters.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        cancel.store(i % 2 == 0);
-        std::this_thread::yield();
-      }
-      cancel.store(false);
-    });
     for (auto& t : submitters) t.join();
-    // Destroy mid-flight on odd rounds: the destructor must drain demand
-    // work and cancel queued speculation without racing the reactor.
+    // Destroy mid-flight on odd rounds: the destructor must drain queued
+    // batches and closures without racing the reactor.
     if (round % 2 == 0) {
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(30);

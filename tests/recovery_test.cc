@@ -710,6 +710,31 @@ TEST(CompactionPolicyTest, MinIntervalSuppressesRepeatedFolds) {
   EXPECT_EQ(LiveObjects((*mi)->index().tree()), f.states.back());
 }
 
+// An index that has never checkpointed folds as soon as the policy says
+// so, whatever min_interval is. 1e9 s outlasts any host's uptime, so this
+// fails if "never checkpointed" is read off the clock's (boot-time) epoch.
+TEST(CompactionPolicyTest, FirstFoldIgnoresMinIntervalOnAnyUptime) {
+  Fixture f = MakeFixture(44, /*mirrored=*/false);
+  auto base = MakeGenerationBase(f);
+  MemGenerationEnv env(base.get(), f.disks);
+  auto mi = MutableIndex::Open(&env);
+  ASSERT_TRUE(mi.ok());
+
+  storage::CompactionPolicy policy;
+  policy.max_wal_records = 1;
+  policy.min_interval_s = 1e9;
+  (*mi)->StartCompaction(policy);
+  for (size_t i = 0; i < 3; ++i) ASSERT_TRUE(Apply(mi->get(), f.ops[i]).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((*mi)->mutation_stats().auto_checkpoints == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  (*mi)->StopCompaction();
+  EXPECT_EQ((*mi)->mutation_stats().auto_checkpoints, 1u);
+}
+
 TEST(CompactionPolicyTest, DisabledPolicyStopsAndStopIsIdempotent) {
   Fixture f = MakeFixture(43, /*mirrored=*/false);
   auto base = MakeGenerationBase(f);

@@ -64,6 +64,10 @@
 //             [--seed=1998] [--file=pts.csv] [--checkpoint=0]
 //             [--compact=...] [--queries=0] [--metrics=0]
 //
+// Every subcommand rejects a flag it does not read (exit 1, naming the
+// flag): a misspelt flag, or one that only another subcommand or mode
+// reads, is an error rather than a silent no-op.
+//
 // Flags (all optional, shown with defaults):
 //   --dataset=clustered|uniform|gaussian|california|longbeach
 //   --file=<csv or sqp>    overrides --dataset
@@ -82,11 +86,6 @@
 //         io_uring completion reactor. uring falls back to threads (and
 //         says so) when the kernel lacks io_uring; answers are
 //         bit-identical either way (docs/EXECUTION.md)
-//   --prefetch=off|N|adaptive   parallel engine: CRSS-hint speculative
-//         prefetch policy — off (default), a fixed per-step budget of N
-//         pages, or the feedback-controlled budget (two-class disk
-//         queues keep demand reads ahead of speculation either way; see
-//         docs/PERFORMANCE.md)
 //   --faults=0 --fault-seed=42   parallel engine: inject a deterministic
 //         mix of transient media faults (bit flips, torn reads, transient
 //         EIO) at the given per-read probability. Failed queries are
@@ -112,6 +111,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -144,18 +144,37 @@ using namespace sqp;
 
 struct Flags {
   std::map<std::string, std::string> values;
+  // Every key a Get* call asked for, given on the command line or not.
+  mutable std::set<std::string> read;
 
   std::string Get(const std::string& key, const std::string& def) const {
+    read.insert(key);
     auto it = values.find(key);
     return it == values.end() ? def : it->second;
   }
   long GetInt(const std::string& key, long def) const {
+    read.insert(key);
     auto it = values.find(key);
     return it == values.end() ? def : std::atol(it->second.c_str());
   }
   double GetDouble(const std::string& key, double def) const {
+    read.insert(key);
     auto it = values.find(key);
     return it == values.end() ? def : std::atof(it->second.c_str());
+  }
+
+  // False (with the flag named on stderr) when a flag was given that the
+  // command has not read. Call once every flag the command uses has been
+  // read, before its long-running work starts.
+  bool RejectUnread() const {
+    for (const auto& [key, value] : values) {
+      if (read.count(key) == 0) {
+        std::fprintf(stderr, "unused flag --%s: this command does not read "
+                     "it\n", key.c_str());
+        return false;
+      }
+    }
+    return true;
   }
 };
 
@@ -292,6 +311,9 @@ int RunWorkload(const Flags& flags, const workload::Dataset& data,
   const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
   const double lambda = flags.GetDouble("lambda", 5.0);
   const core::AlgorithmKind algo = ParseAlgo(flags.Get("algo", "crss"));
+  const size_t buffer_pages = static_cast<size_t>(flags.GetInt("buffer", 0));
+  const bool node_counts = flags.GetInt("node-counts", 0) != 0;
+  if (!flags.RejectUnread()) return 1;
   const auto points = workload::MakeQueryPoints(
       data, n_queries, workload::QueryDistribution::kDataDistributed, 225);
   const auto arrivals = workload::PoissonArrivalTimes(n_queries, lambda, 226);
@@ -304,7 +326,7 @@ int RunWorkload(const Flags& flags, const workload::Dataset& data,
   sim::SimConfig sim_cfg;
   sim_cfg.disk.page_transfer_time = page_size / 2.0e6;
   sim_cfg.bus_transfer_time = page_size / 8.0e6;
-  sim_cfg.buffer_pages = static_cast<size_t>(flags.GetInt("buffer", 0));
+  sim_cfg.buffer_pages = buffer_pages;
 
   const sim::SimulationResult result = sim::RunSimulation(
       index, jobs,
@@ -330,7 +352,7 @@ int RunWorkload(const Flags& flags, const workload::Dataset& data,
                                             result.buffer_misses));
   }
 
-  if (flags.GetInt("node-counts", 0) != 0) {
+  if (node_counts) {
     double pages = 0.0, batches = 0.0, max_batch = 0.0;
     for (const auto& q : points) {
       auto a = core::MakeAlgorithm(algo, index.tree(), q, k,
@@ -370,9 +392,13 @@ int RunSaveIndex(const Flags& flags) {
   }
   workload::Dataset data;
   if (!MakeDataset(flags, &data)) return 1;
-  auto index = std::make_unique<parallel::ParallelRStarTree>(
-      TreeConfigFromFlags(flags, data.dim), DeclusterConfigFromFlags(flags));
-  if (flags.GetInt("bulkload", 0) != 0) {
+  const rstar::TreeConfig tree_config = TreeConfigFromFlags(flags, data.dim);
+  const parallel::DeclusterConfig decluster = DeclusterConfigFromFlags(flags);
+  const bool bulkload = flags.GetInt("bulkload", 0) != 0;
+  if (!flags.RejectUnread()) return 1;
+  auto index =
+      std::make_unique<parallel::ParallelRStarTree>(tree_config, decluster);
+  if (bulkload) {
     std::vector<rstar::ObjectId> ids(data.size());
     for (size_t i = 0; i < ids.size(); ++i) {
       ids[i] = static_cast<rstar::ObjectId>(i);
@@ -453,17 +479,14 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
   options.query_threads = static_cast<int>(flags.GetInt("threads", 8));
   options.cache_pages = static_cast<size_t>(flags.GetInt("cache", 4096));
   if (!ParseIoFlag(flags, &options.io_backend)) return 1;
-  const std::string prefetch = flags.Get("prefetch", "off");
-  if (prefetch == "adaptive") {
-    options.prefetch_adaptive = true;
-  } else if (prefetch != "off") {
-    options.prefetch_budget = std::atoi(prefetch.c_str());
-    if (options.prefetch_budget <= 0) {
-      std::fprintf(stderr, "bad --prefetch=%s (want off, N, or adaptive)\n",
-                   prefetch.c_str());
-      return 1;
-    }
-  }
+  const size_t n_queries = static_cast<size_t>(flags.GetInt("queries", 100));
+  const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
+  const core::AlgorithmKind algo = ParseAlgo(flags.Get("algo", "crss"));
+  const double deadline_s = flags.GetDouble("deadline-ms", 0.0) / 1e3;
+  const bool dump_metrics = flags.GetInt("metrics", 0) != 0;
+  const std::string metrics_json = flags.Get("metrics-json", "");
+  const std::string trace_json = flags.Get("trace-json", "");
+  if (!flags.RejectUnread()) return 1;
   auto engine =
       mindex != nullptr
           ? exec::ParallelQueryEngine::CreateMutable(mindex, options)
@@ -485,10 +508,6 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
     }
   }
 
-  const size_t n_queries = static_cast<size_t>(flags.GetInt("queries", 100));
-  const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
-  const core::AlgorithmKind algo = ParseAlgo(flags.Get("algo", "crss"));
-  const double deadline_s = flags.GetDouble("deadline-ms", 0.0) / 1e3;
   const auto points = workload::MakeQueryPoints(
       data, n_queries, workload::QueryDistribution::kDataDistributed, 225);
   std::vector<exec::EngineQuery> queries;
@@ -515,7 +534,6 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
   double pages = 0.0;
   size_t failed = 0;
   uint64_t io_faults = 0, io_retries = 0;
-  uint64_t prefetch_issued = 0, prefetch_hits = 0, prefetch_wasted = 0;
   // Failures broken down by status code: scheduling outcomes
   // (deadline_exceeded, cancelled) are operationally different from data
   // errors and get counted apart, not string-matched.
@@ -523,9 +541,6 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
   for (size_t i = 0; i < answers.size(); ++i) {
     io_faults += answers[i].io_faults;
     io_retries += answers[i].io_retries;
-    prefetch_issued += answers[i].prefetch_issued;
-    prefetch_hits += answers[i].prefetch_hits;
-    prefetch_wasted += answers[i].prefetch_wasted;
     if (!answers[i].status.ok()) {
       ++failed;
       ++failures_by_code[common::StatusCodeName(answers[i].status.code())];
@@ -569,14 +584,6 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
       1e3 * p99, pages / static_cast<double>(ok_count),
       100 * cache.HitRate(), static_cast<unsigned long long>(cache.hits),
       static_cast<unsigned long long>(cache.misses));
-  if (prefetch != "off") {
-    std::printf(
-        "  prefetch         %s: %llu speculative reads issued, "
-        "%llu demand hits on prefetched frames, %llu wasted\n",
-        prefetch.c_str(), static_cast<unsigned long long>(prefetch_issued),
-        static_cast<unsigned long long>(prefetch_hits),
-        static_cast<unsigned long long>(prefetch_wasted));
-  }
   if (io_faults > 0 || io_retries > 0 || faulty != nullptr) {
     const exec::ReaderFaultTotals rt = (*engine)->reader().fault_totals();
     std::printf(
@@ -604,15 +611,11 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
   // Observability dumps (docs/OBSERVABILITY.md). The engine always runs
   // metered here, so the registry holds the run's full breakdown.
   const obs::MetricsSnapshot snap = (*engine)->metrics()->Snapshot();
-  if (flags.GetInt("metrics", 0) != 0) {
-    std::printf("\n%s", snap.ToPrometheus().c_str());
-  }
-  const std::string metrics_json = flags.Get("metrics-json", "");
+  if (dump_metrics) std::printf("\n%s", snap.ToPrometheus().c_str());
   if (!metrics_json.empty() &&
       !WriteTextFile(metrics_json, snap.ToJson() + "\n")) {
     return 1;
   }
-  const std::string trace_json = flags.Get("trace-json", "");
   if (!trace_json.empty()) {
     const obs::TraceRecorder* trace = (*engine)->trace();
     if (!WriteTextFile(trace_json, trace->ToJson() + "\n")) return 1;
@@ -802,10 +805,14 @@ int RunIngest(const Flags& flags) {
     engine = std::move(*created);
     std::printf("io backend: %s\n", IoBackendBanner(*engine).c_str());
   }
+  const bool checkpoint = flags.GetInt("checkpoint", 0) != 0;
+  const bool dump_metrics = flags.GetInt("metrics", 0) != 0;
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1998));
+  if (!flags.RejectUnread()) return 1;
   const size_t total_ops = n_inserts + n_deletes;
   const size_t query_every =
       n_queries > 0 ? std::max<size_t>(1, total_ops / n_queries) : 0;
-  common::Rng qrng(static_cast<uint64_t>(flags.GetInt("seed", 1998)) + 1);
+  common::Rng qrng(seed + 1);
   size_t queries_run = 0;
   size_t op_index = 0;
   auto maybe_query = [&]() -> bool {
@@ -852,7 +859,7 @@ int RunIngest(const Flags& flags) {
     }
     if (!maybe_query()) return 2;
   }
-  if (flags.GetInt("checkpoint", 0) != 0) {
+  if (checkpoint) {
     const common::Status s = mi->Checkpoint();
     if (!s.ok()) {
       std::fprintf(stderr, "checkpoint failed: %s\n", s.ToString().c_str());
@@ -925,9 +932,7 @@ int RunIngest(const Flags& flags) {
   std::printf("identity: wal_records == applied + replayed + "
               "torn_tail_dropped == %llu\n",
               static_cast<unsigned long long>(records));
-  if (flags.GetInt("metrics", 0) != 0) {
-    std::printf("\n%s", snap.ToPrometheus().c_str());
-  }
+  if (dump_metrics) std::printf("\n%s", snap.ToPrometheus().c_str());
   return 0;
 }
 
@@ -1025,13 +1030,14 @@ int RunServe(const Flags& flags) {
 
   server::TcpServerOptions topts;
   topts.port = static_cast<int>(flags.GetInt("port", 0));
+  const std::string port_file = flags.Get("port-file", "");
+  if (!flags.RejectUnread()) return 1;
   auto srv = server::TcpServer::Start(&service, topts);
   if (!srv.ok()) {
     std::fprintf(stderr, "listen failed: %s\n",
                  srv.status().ToString().c_str());
     return 1;
   }
-  const std::string port_file = flags.Get("port-file", "");
   if (!port_file.empty() &&
       !WriteTextFile(port_file, std::to_string((*srv)->port()) + "\n")) {
     return 1;
@@ -1100,6 +1106,8 @@ int RunQueryCommand(const Flags& flags) {
   // The server may still be binding (CI starts both concurrently):
   // retry the connect with backoff inside the wait budget.
   const long wait_ms = flags.GetInt("connect-wait-ms", 5000);
+  const size_t print_max = static_cast<size_t>(flags.GetInt("print", 10));
+  if (!flags.RejectUnread()) return 1;
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(wait_ms);
   std::unique_ptr<server::Client> client;
@@ -1123,8 +1131,7 @@ int RunQueryCommand(const Flags& flags) {
         ++chunk_no;
         std::printf("chunk %zu: %zu results\n", chunk_no, chunk.size());
       });
-  const size_t print = std::min<size_t>(
-      out.neighbors.size(), static_cast<size_t>(flags.GetInt("print", 10)));
+  const size_t print = std::min(out.neighbors.size(), print_max);
   for (size_t i = 0; i < print; ++i) {
     std::printf("  #%zu object %llu dist_sq %.6f\n", i + 1,
                 static_cast<unsigned long long>(out.neighbors[i].object),
