@@ -18,9 +18,85 @@ using geometry::Rect;
 // fan-out.
 constexpr int kChooseSubtreeCandidates = 32;
 
-// Enlargement of `base`'s area if it had to include `add`.
-double AreaEnlargement(const Rect& base, const Rect& add) {
-  return Rect::Union(base, add).Area() - base.Area();
+// Box arithmetic over raw corner arrays. Each function makes the float
+// comparisons and the double operations of its geometry::Rect counterpart
+// with the same operands in the same order (and sqp_rstar builds with
+// -ffp-contract=off), so every result is bit-identical to the Rect form
+// while no Rect is built. Boxes are non-empty (lo <= hi).
+
+// Rect::Union(box, add).Area() - box.Area().
+double AreaEnlargement(const float* lo, const float* hi, const float* add_lo,
+                       const float* add_hi, int dim) {
+  double grown = 1.0;
+  double area = 1.0;
+  for (int k = 0; k < dim; ++k) {
+    const float glo = std::min(lo[k], add_lo[k]);
+    const float ghi = std::max(hi[k], add_hi[k]);
+    grown *= static_cast<double>(ghi) - static_cast<double>(glo);
+    area *= static_cast<double>(hi[k]) - static_cast<double>(lo[k]);
+  }
+  return grown - area;
+}
+
+double AreaEnlargement(const Rect& box, const Rect& add) {
+  return AreaEnlargement(box.lo().coords().data(), box.hi().coords().data(),
+                         add.lo().coords().data(), add.hi().coords().data(),
+                         box.dim());
+}
+
+// The flat layout of scratch boxes: 2*dim floats, lo[0..dim) then
+// hi[0..dim).
+double Area(const float* box, int dim) {
+  double area = 1.0;
+  for (int k = 0; k < dim; ++k) {
+    area *= static_cast<double>(box[dim + k]) - static_cast<double>(box[k]);
+  }
+  return area;
+}
+
+double Margin(const float* box, int dim) {
+  double margin = 0.0;
+  for (int k = 0; k < dim; ++k) {
+    margin += static_cast<double>(box[dim + k]) - static_cast<double>(box[k]);
+  }
+  return margin;
+}
+
+// a.OverlapArea(b).
+double OverlapArea(const float* a, const float* b, int dim) {
+  double area = 1.0;
+  for (int k = 0; k < dim; ++k) {
+    const double lo = std::max(a[k], b[k]);
+    const double hi = std::min(a[dim + k], b[dim + k]);
+    if (hi < lo) return 0.0;
+    area *= hi - lo;
+  }
+  return area;
+}
+
+void LoadBox(const Rect& r, int dim, float* box) {
+  std::copy_n(r.lo().coords().data(), dim, box);
+  std::copy_n(r.hi().coords().data(), dim, box + dim);
+}
+
+// box.ExpandToInclude(r).
+void ExpandBox(float* box, const Rect& r, int dim) {
+  const float* lo = r.lo().coords().data();
+  const float* hi = r.hi().coords().data();
+  for (int k = 0; k < dim; ++k) {
+    box[k] = std::min(box[k], lo[k]);
+    box[dim + k] = std::max(box[dim + k], hi[k]);
+  }
+}
+
+// *out = the tight MBR of `entries`, folded in Node::ComputeMbr's order
+// into `out`'s existing storage.
+void FoldMbr(const std::vector<Entry>& entries, Rect* out) {
+  SQP_DCHECK(!entries.empty());
+  *out = entries[0].mbr;
+  for (size_t i = 1; i < entries.size(); ++i) {
+    out->ExpandToInclude(entries[i].mbr);
+  }
 }
 
 }  // namespace
@@ -165,12 +241,15 @@ void RStarTree::NotifyCreated(PageId nid) {
 
 void RStarTree::Insert(const Point& p, ObjectId id) {
   SQP_CHECK(p.dim() == config_.dim);
-  std::vector<bool> reinserted(64, false);
+  ReinsertedLevels reinserted;
   InsertEntry(Entry::ForObject(p, id), /*target_level=*/0, reinserted);
   ++size_;
 }
 
-PageId RStarTree::ChooseSubtree(const Rect& mbr, int target_level) const {
+PageId RStarTree::ChooseSubtree(const Rect& mbr, int target_level) {
+  const int dim = config_.dim;
+  const float* add_lo = mbr.lo().coords().data();
+  const float* add_hi = mbr.hi().coords().data();
   PageId nid = root_;
   while (node(nid).level > target_level) {
     const Node& n = node(nid);
@@ -181,31 +260,67 @@ PageId RStarTree::ChooseSubtree(const Rect& mbr, int target_level) const {
       // Children are leaves: minimize overlap enlargement, ties by area
       // enlargement, then by area. Restrict the quadratic overlap scan to
       // the candidates with least area enlargement.
-      std::vector<size_t> order(n.entries.size());
-      std::iota(order.begin(), order.end(), size_t{0});
-      std::vector<double> enlarge(n.entries.size());
-      for (size_t i = 0; i < n.entries.size(); ++i) {
-        enlarge[i] = AreaEnlargement(n.entries[i].mbr, mbr);
+      const size_t count = n.entries.size();
+      const size_t width = 2 * static_cast<size_t>(dim);
+      std::vector<float>& boxes = scratch_.boxes;
+      std::vector<double>& enlarge = scratch_.enlarge;
+      std::vector<size_t>& order = scratch_.order;
+      // One extra slot past the node's boxes holds the grown candidate.
+      boxes.resize((count + 1) * width);
+      enlarge.resize(count);
+      order.resize(count);
+      for (size_t i = 0; i < count; ++i) {
+        float* box = &boxes[i * width];
+        LoadBox(n.entries[i].mbr, dim, box);
+        enlarge[i] = AreaEnlargement(box, box + dim, add_lo, add_hi, dim);
       }
+      std::iota(order.begin(), order.end(), size_t{0});
       std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
         return enlarge[a] < enlarge[b];
       });
-      const size_t candidates = std::min(
-          order.size(), static_cast<size_t>(kChooseSubtreeCandidates));
+      const size_t candidates =
+          std::min(count, static_cast<size_t>(kChooseSubtreeCandidates));
 
+      // Three exact shortcuts; each leaves the chosen entry unchanged.
+      // The overlap delta of candidate i sums, over siblings j,
+      // overlap(grown_i, j) - overlap(i, j). Since grown_i contains i and
+      // float->double widening, subtraction and multiplication all round
+      // monotonically, every term is >= 0, so every delta is >= 0.
+      // (1) A sibling whose overlap with grown_i is 0 has overlap 0 with
+      //     i as well: its term is exactly 0 and is skipped.
+      // (2) If i already contains the new box (tested with the very
+      //     comparisons std::min/std::max make), grown_i equals i bit for
+      //     bit and every term is x - x = 0: the delta is 0 unscanned.
+      // (3) Once the best delta is 0, the minimum, only a candidate with
+      //     equal area enlargement can still win (on area), and the
+      //     candidates come in ascending enlargement: stop at the first
+      //     larger one.
       double best_overlap = std::numeric_limits<double>::infinity();
       double best_enlarge = std::numeric_limits<double>::infinity();
       double best_area = std::numeric_limits<double>::infinity();
+      float* grown = &boxes[count * width];
       for (size_t ci = 0; ci < candidates; ++ci) {
         const size_t i = order[ci];
-        const Rect grown = Rect::Union(n.entries[i].mbr, mbr);
-        double overlap_delta = 0.0;
-        for (size_t j = 0; j < n.entries.size(); ++j) {
-          if (j == i) continue;
-          overlap_delta += grown.OverlapArea(n.entries[j].mbr) -
-                           n.entries[i].mbr.OverlapArea(n.entries[j].mbr);
+        if (best_overlap == 0.0 && enlarge[i] > best_enlarge) break;
+        const float* box = &boxes[i * width];
+        bool contains = true;
+        for (int k = 0; k < dim; ++k) {
+          grown[k] = std::min(box[k], add_lo[k]);
+          grown[dim + k] = std::max(box[dim + k], add_hi[k]);
+          contains = contains && !(add_lo[k] < box[k]) &&
+                     !(box[dim + k] < add_hi[k]);
         }
-        const double area = n.entries[i].mbr.Area();
+        double overlap_delta = 0.0;
+        if (!contains) {
+          for (size_t j = 0; j < count; ++j) {
+            if (j == i) continue;
+            const float* other = &boxes[j * width];
+            const double grown_overlap = OverlapArea(grown, other, dim);
+            if (grown_overlap == 0.0) continue;
+            overlap_delta += grown_overlap - OverlapArea(box, other, dim);
+          }
+        }
+        const double area = Area(box, dim);
         if (overlap_delta < best_overlap ||
             (overlap_delta == best_overlap && enlarge[i] < best_enlarge) ||
             (overlap_delta == best_overlap && enlarge[i] == best_enlarge &&
@@ -236,14 +351,15 @@ PageId RStarTree::ChooseSubtree(const Rect& mbr, int target_level) const {
   return nid;
 }
 
-void RStarTree::InsertEntry(const Entry& e, int target_level,
-                            std::vector<bool>& reinserted) {
+void RStarTree::InsertEntry(Entry e, int target_level,
+                            ReinsertedLevels& reinserted) {
   SQP_CHECK(target_level <= node(root_).level);
   const PageId nid = ChooseSubtree(e.mbr, target_level);
   Node& n = MutableNode(nid);
   SQP_DCHECK(n.level == target_level);
-  n.entries.push_back(e);
-  if (e.child != kInvalidPage) MutableNode(e.child).parent = nid;
+  const PageId child = e.child;
+  n.entries.push_back(std::move(e));
+  if (child != kInvalidPage) MutableNode(child).parent = nid;
   RefreshUpward(nid);
   if (static_cast<int>(n.entries.size()) <= config_.MaxEntries()) return;
   if (config_.allow_supernodes && !n.IsLeaf()) {
@@ -258,7 +374,7 @@ void RStarTree::InsertEntry(const Entry& e, int target_level,
   OverflowTreatment(nid, reinserted);
 }
 
-void RStarTree::OverflowTreatment(PageId nid, std::vector<bool>& reinserted) {
+void RStarTree::OverflowTreatment(PageId nid, ReinsertedLevels& reinserted) {
   const Node& n = node(nid);
   const size_t lvl = static_cast<size_t>(n.level);
   if (nid != root_ && config_.forced_reinsert && lvl < reinserted.size() &&
@@ -270,7 +386,7 @@ void RStarTree::OverflowTreatment(PageId nid, std::vector<bool>& reinserted) {
   }
 }
 
-void RStarTree::ForcedReinsert(PageId nid, std::vector<bool>& reinserted) {
+void RStarTree::ForcedReinsert(PageId nid, ReinsertedLevels& reinserted) {
   Node& n = MutableNode(nid);
   const int level = n.level;
   const Rect node_mbr = n.ComputeMbr();
@@ -291,13 +407,13 @@ void RStarTree::ForcedReinsert(PageId nid, std::vector<bool>& reinserted) {
   evicted.reserve(static_cast<size_t>(p));
   std::vector<bool> remove(n.entries.size(), false);
   for (int i = 0; i < p; ++i) {
-    evicted.push_back(n.entries[order[static_cast<size_t>(i)]]);
+    evicted.push_back(std::move(n.entries[order[static_cast<size_t>(i)]]));
     remove[order[static_cast<size_t>(i)]] = true;
   }
   std::vector<Entry> kept;
   kept.reserve(n.entries.size() - evicted.size());
   for (size_t i = 0; i < n.entries.size(); ++i) {
-    if (!remove[i]) kept.push_back(n.entries[i]);
+    if (!remove[i]) kept.push_back(std::move(n.entries[i]));
   }
   n.entries = std::move(kept);
   RefreshUpward(nid);
@@ -305,11 +421,11 @@ void RStarTree::ForcedReinsert(PageId nid, std::vector<bool>& reinserted) {
   // Close reinsert: nearest evicted entries first (Beckmann et al. found
   // this superior to far reinsert).
   for (auto it = evicted.rbegin(); it != evicted.rend(); ++it) {
-    InsertEntry(*it, level, reinserted);
+    InsertEntry(std::move(*it), level, reinserted);
   }
 }
 
-void RStarTree::Split(PageId nid, std::vector<bool>& reinserted,
+void RStarTree::Split(PageId nid, ReinsertedLevels& reinserted,
                       bool may_become_supernode) {
   Node& n = MutableNode(nid);
   const int level = n.level;
@@ -321,29 +437,32 @@ void RStarTree::Split(PageId nid, std::vector<bool>& reinserted,
   // distributions, then the distribution with least overlap (ties: least
   // combined area). Both lower-value and upper-value sort orders are
   // considered on each axis.
-  struct Candidate {
-    std::vector<size_t> order;  // permutation of entry indices
-    int split_at = 0;           // first `split_at` entries -> group 1
-    double overlap = 0.0;
-    double area = 0.0;
-  };
-
   const int k_max = total - 2 * m + 1;  // distributions per sort order
   SQP_CHECK(k_max >= 1);
 
+  const int dim = config_.dim;
+  const size_t width = 2 * static_cast<size_t>(dim);
+  const size_t count = n.entries.size();
+  std::vector<float>& prefix = scratch_.prefix;
+  std::vector<float>& suffix = scratch_.suffix;
+  prefix.resize(count * width);
+  suffix.resize(count * width);
+  std::vector<size_t>& best_order = scratch_.best_order;
+  int best_split_at = 0;  // first `best_split_at` entries -> group 1
   int best_axis = -1;
   double best_axis_margin = std::numeric_limits<double>::infinity();
-  Candidate best;  // best distribution on the best axis
 
-  for (int axis = 0; axis < config_.dim; ++axis) {
-    // sort_by: 0 = lower coordinate, 1 = upper coordinate.
+  for (int axis = 0; axis < dim; ++axis) {
     double axis_margin = 0.0;
-    Candidate axis_best;
     double axis_best_overlap = std::numeric_limits<double>::infinity();
     double axis_best_area = std::numeric_limits<double>::infinity();
+    int axis_best_sort = -1;
+    int axis_best_split_at = 0;
 
+    // sort_by: 0 = lower coordinate, 1 = upper coordinate.
     for (int sort_by = 0; sort_by < 2; ++sort_by) {
-      std::vector<size_t> order(n.entries.size());
+      std::vector<size_t>& order = scratch_.axis_orders[sort_by];
+      order.resize(count);
       std::iota(order.begin(), order.end(), size_t{0});
       std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
         const Rect& ra = n.entries[a].mbr;
@@ -358,62 +477,65 @@ void RStarTree::Split(PageId nid, std::vector<bool>& reinserted,
       });
 
       // Prefix/suffix MBRs make each distribution O(d) to evaluate.
-      std::vector<Rect> prefix(order.size()), suffix(order.size());
-      Rect acc = n.entries[order[0]].mbr;
-      prefix[0] = acc;
-      for (size_t i = 1; i < order.size(); ++i) {
-        acc.ExpandToInclude(n.entries[order[i]].mbr);
-        prefix[i] = acc;
+      LoadBox(n.entries[order[0]].mbr, dim, &prefix[0]);
+      for (size_t i = 1; i < count; ++i) {
+        float* box = &prefix[i * width];
+        std::copy_n(box - width, width, box);
+        ExpandBox(box, n.entries[order[i]].mbr, dim);
       }
-      acc = n.entries[order.back()].mbr;
-      suffix[order.size() - 1] = acc;
-      for (size_t i = order.size() - 1; i-- > 0;) {
-        acc.ExpandToInclude(n.entries[order[i]].mbr);
-        suffix[i] = acc;
+      LoadBox(n.entries[order.back()].mbr, dim, &suffix[(count - 1) * width]);
+      for (size_t i = count - 1; i-- > 0;) {
+        float* box = &suffix[i * width];
+        std::copy_n(box + width, width, box);
+        ExpandBox(box, n.entries[order[i]].mbr, dim);
       }
 
       for (int k = 0; k < k_max; ++k) {
         const int split_at = m + k;  // group 1 size
-        const Rect& g1 = prefix[static_cast<size_t>(split_at - 1)];
-        const Rect& g2 = suffix[static_cast<size_t>(split_at)];
-        axis_margin += g1.Margin() + g2.Margin();
-        const double overlap = g1.OverlapArea(g2);
-        const double area = g1.Area() + g2.Area();
+        const float* g1 = &prefix[static_cast<size_t>(split_at - 1) * width];
+        const float* g2 = &suffix[static_cast<size_t>(split_at) * width];
+        axis_margin += Margin(g1, dim) + Margin(g2, dim);
+        const double overlap = OverlapArea(g1, g2, dim);
+        const double area = Area(g1, dim) + Area(g2, dim);
         if (overlap < axis_best_overlap ||
             (overlap == axis_best_overlap && area < axis_best_area)) {
           axis_best_overlap = overlap;
           axis_best_area = area;
-          axis_best.order = order;
-          axis_best.split_at = split_at;
-          axis_best.overlap = overlap;
-          axis_best.area = area;
+          axis_best_sort = sort_by;
+          axis_best_split_at = split_at;
         }
       }
     }
 
     if (axis_margin < best_axis_margin) {
+      SQP_CHECK(axis_best_sort >= 0);
       best_axis_margin = axis_margin;
       best_axis = axis;
-      best = std::move(axis_best);
+      best_order.swap(scratch_.axis_orders[axis_best_sort]);
+      best_split_at = axis_best_split_at;
     }
   }
-  SQP_CHECK(best_axis >= 0 && !best.order.empty());
+  SQP_CHECK(best_axis >= 0);
+  const size_t split_at = static_cast<size_t>(best_split_at);
 
   if (may_become_supernode) {
     // X-tree supernode test: if even the best distribution produces
     // heavily overlapping groups (Jaccard ratio of the group MBRs above
-    // the threshold), keep the node as a multi-page supernode.
-    Rect g1 = n.entries[best.order[0]].mbr;
-    for (int i = 1; i < best.split_at; ++i) {
-      g1.ExpandToInclude(n.entries[best.order[static_cast<size_t>(i)]].mbr);
+    // the threshold), keep the node as a multi-page supernode. The
+    // prefix/suffix boxes belong to the last order evaluated, so the
+    // groups are folded afresh, in the best order.
+    float* g1 = &prefix[0];
+    float* g2 = &suffix[0];
+    LoadBox(n.entries[best_order[0]].mbr, dim, g1);
+    for (size_t i = 1; i < split_at; ++i) {
+      ExpandBox(g1, n.entries[best_order[i]].mbr, dim);
     }
-    Rect g2 = n.entries[best.order[static_cast<size_t>(best.split_at)]].mbr;
-    for (size_t i = static_cast<size_t>(best.split_at) + 1;
-         i < best.order.size(); ++i) {
-      g2.ExpandToInclude(n.entries[best.order[i]].mbr);
+    LoadBox(n.entries[best_order[split_at]].mbr, dim, g2);
+    for (size_t i = split_at + 1; i < count; ++i) {
+      ExpandBox(g2, n.entries[best_order[i]].mbr, dim);
     }
-    const double overlap = g1.OverlapArea(g2);
-    const double union_area = g1.Area() + g2.Area() - overlap;
+    const double overlap = OverlapArea(g1, g2, dim);
+    const double union_area = Area(g1, dim) + Area(g2, dim) - overlap;
     const double jaccard = union_area > 0.0 ? overlap / union_area : 1.0;
     if (jaccard > config_.supernode_overlap_threshold) {
       return;  // the node absorbs the overflow
@@ -422,14 +544,14 @@ void RStarTree::Split(PageId nid, std::vector<bool>& reinserted,
 
   // Materialize the two groups.
   std::vector<Entry> group1, group2;
-  group1.reserve(static_cast<size_t>(best.split_at));
-  group2.reserve(n.entries.size() - static_cast<size_t>(best.split_at));
-  for (size_t i = 0; i < best.order.size(); ++i) {
-    const Entry& e = n.entries[best.order[i]];
-    if (static_cast<int>(i) < best.split_at) {
-      group1.push_back(e);
+  group1.reserve(split_at);
+  group2.reserve(count - split_at);
+  for (size_t i = 0; i < count; ++i) {
+    Entry& e = n.entries[best_order[i]];
+    if (i < split_at) {
+      group1.push_back(std::move(e));
     } else {
-      group2.push_back(e);
+      group2.push_back(std::move(e));
     }
   }
 
@@ -477,7 +599,7 @@ void RStarTree::RefreshUpward(PageId nid) {
     bool found = false;
     for (Entry& e : parent.entries) {
       if (e.child == cur) {
-        e.mbr = n.ComputeMbr();
+        FoldMbr(n.entries, &e.mbr);
         e.count = static_cast<uint32_t>(n.ObjectCount());
         found = true;
         break;
@@ -575,9 +697,9 @@ void RStarTree::CondenseTree(PageId leaf) {
     cur = parent_id;
   }
 
-  for (const Orphan& o : orphans) {
-    std::vector<bool> reinserted(64, false);
-    InsertEntry(o.entry, o.level, reinserted);
+  for (Orphan& o : orphans) {
+    ReinsertedLevels reinserted;
+    InsertEntry(std::move(o.entry), o.level, reinserted);
   }
 }
 

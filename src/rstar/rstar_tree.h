@@ -13,6 +13,7 @@
 #ifndef SQP_RSTAR_RSTAR_TREE_H_
 #define SQP_RSTAR_RSTAR_TREE_H_
 
+#include <bitset>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -132,20 +133,22 @@ class RStarTree {
   PageId AllocateNode(int level);
   void FreeNode(PageId id);
 
+  // One flag per level for the forced-reinsert-once rule of a single
+  // top-level insert; levels >= 64 are never reinserted.
+  using ReinsertedLevels = std::bitset<64>;
+
   // Chooses the node at `target_level` that should receive `mbr`
   // (R* ChooseSubtree).
-  PageId ChooseSubtree(const geometry::Rect& mbr, int target_level) const;
+  PageId ChooseSubtree(const geometry::Rect& mbr, int target_level);
 
   // Inserts `e` into a node at `target_level`, handling overflow.
-  // `reinserted` has one flag per level for the forced-reinsert-once rule.
-  void InsertEntry(const Entry& e, int target_level,
-                   std::vector<bool>& reinserted);
+  void InsertEntry(Entry e, int target_level, ReinsertedLevels& reinserted);
 
-  void OverflowTreatment(PageId nid, std::vector<bool>& reinserted);
-  void ForcedReinsert(PageId nid, std::vector<bool>& reinserted);
+  void OverflowTreatment(PageId nid, ReinsertedLevels& reinserted);
+  void ForcedReinsert(PageId nid, ReinsertedLevels& reinserted);
   // may_become_supernode: an X-tree-eligible internal node may absorb the
   // overflow instead of splitting when the best split is high-overlap.
-  void Split(PageId nid, std::vector<bool>& reinserted,
+  void Split(PageId nid, ReinsertedLevels& reinserted,
              bool may_become_supernode = false);
 
   // Recomputes this node's MBR/count in its parent entry and repeats up to
@@ -169,6 +172,20 @@ class RStarTree {
   PageId root_;
   uint64_t size_ = 0;
   size_t live_nodes_ = 0;
+
+  // Buffers ChooseSubtree and Split reuse across calls, so a steady-state
+  // insert allocates nothing for its geometry. Boxes are stored flat,
+  // 2*dim floats each: lo[0..dim) then hi[0..dim).
+  struct Scratch {
+    std::vector<float> boxes;  // ChooseSubtree: the node's MBRs
+    std::vector<double> enlarge;
+    std::vector<size_t> order;
+    std::vector<float> prefix;  // Split: prefix and suffix MBRs
+    std::vector<float> suffix;
+    std::vector<size_t> axis_orders[2];  // Split: per sort order
+    std::vector<size_t> best_order;
+  };
+  Scratch scratch_;
 };
 
 }  // namespace sqp::rstar
