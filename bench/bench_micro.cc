@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the hot kernels: the three distance
 // metrics, Lemma 1, R*-tree insertion/split machinery, the exact k-NN
-// search used as the WOPTSS oracle, and the concurrency primitives of the
-// real execution engine (sharded page cache, batched store reads).
+// search used as the WOPTSS oracle, the page checksum and the cache-miss
+// decode path, and the concurrency primitives of the real execution
+// engine (sharded page cache, batched store reads).
 
 #include <filesystem>
 #include <memory>
@@ -16,10 +17,13 @@
 #include "core/lemma1.h"
 #include "exec/coalescer.h"
 #include "exec/page_cache.h"
+#include "exec/stored_index.h"
 #include "geometry/kernels.h"
 #include "geometry/metrics.h"
 #include "parallel/declustering.h"
 #include "rstar/rstar_tree.h"
+#include "storage/index_io.h"
+#include "storage/page_format.h"
 #include "storage/page_store.h"
 #include "workload/dataset.h"
 #include "workload/index_builder.h"
@@ -253,6 +257,59 @@ void BM_ExactKnn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactKnn)->Arg(1)->Arg(10)->Arg(100);
+
+// --- Page checksum and the cache-miss path ---------------------------------
+
+// CRC32C of one 4 KB page. Arg 0 = Crc32cExtend (SSE4.2 where the CPU has
+// it), Arg 1 = the portable table routine.
+void BM_Crc32c4K(benchmark::State& state) {
+  const bool table = state.range(0) != 0;
+  std::vector<uint8_t> page(4096);
+  common::Rng rng(13);
+  for (auto& b : page) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        table ? storage::Crc32cExtendTable(0, page.data(), page.size())
+              : storage::Crc32cExtend(0, page.data(), page.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+  state.SetLabel(table ? "table"
+                       : (storage::Crc32cUsesSse42() ? "sse4.2" : "table"));
+}
+BENCHMARK(BM_Crc32c4K)->Arg(0)->Arg(1);
+
+// One full cache miss through StoredIndexReader — store read, checksum,
+// validation and FlatNode arena — cycling over every live page of the
+// repository benchmark's two index shapes (4 KB pages, Proximity Index on
+// 10 disks, in memory so no media time is included): Arg 2 = 40k
+// clustered 2-d points (knn-disk), Arg 8 = 20k uniform 8-d (knn-hot).
+void BM_ReadFlatRecord(benchmark::State& state) {
+  const int dim = static_cast<int>(state.range(0));
+  const workload::Dataset data =
+      dim == 2 ? workload::MakeClustered(40000, 2, 10, 0.1, 6)
+               : workload::MakeUniform(20000, dim, 6);
+  rstar::TreeConfig cfg;
+  cfg.dim = dim;
+  cfg.page_size_bytes = 4096;
+  parallel::DeclusterConfig dc;
+  dc.num_disks = 10;
+  dc.policy = parallel::DeclusterPolicy::kProximityIndex;
+  const auto index = workload::BuildParallelIndex(data, cfg, dc);
+  storage::MemPageStore store(dc.num_disks);
+  SQP_CHECK(storage::SaveIndex(*index, &store).ok());
+  auto reader = exec::StoredIndexReader::Open(&store);
+  SQP_CHECK(reader.ok());
+  const std::vector<rstar::PageId> live = index->tree().LiveNodeIds();
+  size_t next = 0;
+  for (auto _ : state) {
+    auto flat = (*reader)->ReadFlatNode(live[next]);
+    benchmark::DoNotOptimize(flat.ok());
+    next = next + 1 == live.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReadFlatRecord)->Arg(2)->Arg(8);
 
 // --- Execution-engine primitives ------------------------------------------
 

@@ -549,8 +549,8 @@ int main(int argc, char** argv) {
         std::vector<rstar::PageId> children;
         children.reserve(n.entries.size());
         for (const rstar::Entry& e : n.entries) children.push_back(e.child);
-        std::vector<rstar::Node> nodes;
-        SQP_CHECK((*sweep_reader)->ReadNodes(children, &nodes).ok());
+        std::vector<core::FlatNode> nodes;
+        SQP_CHECK((*sweep_reader)->ReadFlatNodes(children, &nodes).ok());
         row.pages += children.size();
       }
       row.sweep_s = std::chrono::duration<double>(

@@ -8,46 +8,49 @@ FlatNode& FlatNode::operator=(FlatNode&& other) noexcept {
   id_ = other.id_;
   level_ = other.level_;
   dim_ = other.dim_;
-  n_ = other.n_;
+  n_ = std::exchange(other.n_, 0);
+  objects_offset_ = other.objects_offset_;
   children_offset_ = other.children_offset_;
   counts_offset_ = other.counts_offset_;
   arena_ = std::move(other.arena_);
-  lo_planes_ = std::move(other.lo_planes_);
-  hi_planes_ = std::move(other.hi_planes_);
-  other.n_ = 0;
-  other.lo_planes_.clear();
-  other.hi_planes_.clear();
   return *this;
 }
 
-FlatNode FlatNode::FromNode(const rstar::Node& node, int dim) {
+FlatNode FlatNode::Allocate(rstar::PageId id, int level, int dim, size_t n) {
   SQP_CHECK(dim >= 1);
   FlatNode f;
-  f.id_ = node.id;
-  f.level_ = node.level;
+  f.id_ = id;
+  f.level_ = level;
   f.dim_ = dim;
-  f.n_ = node.entries.size();
-  const size_t n = f.n_;
+  f.n_ = n;
   if (n == 0) return f;
 
   const size_t d = static_cast<size_t>(dim);
-  const size_t objects_bytes = n * sizeof(rstar::ObjectId);
   const size_t plane_bytes = d * n * sizeof(float);
-  const size_t lo_offset = objects_bytes;
-  const size_t hi_offset = lo_offset + plane_bytes;
-  f.children_offset_ = hi_offset + plane_bytes;
+  f.objects_offset_ = 2 * d * sizeof(const float*);
+  const size_t lo_offset = f.objects_offset_ + n * sizeof(rstar::ObjectId);
+  f.children_offset_ = lo_offset + 2 * plane_bytes;
   f.counts_offset_ = f.children_offset_ + n * sizeof(rstar::PageId);
   const size_t total = f.counts_offset_ + n * sizeof(uint32_t);
-  f.arena_ = std::make_unique<std::byte[]>(total);
+  f.arena_ = std::make_unique_for_overwrite<std::byte[]>(total);
 
-  auto* objects = reinterpret_cast<rstar::ObjectId*>(f.arena_.get());
-  auto* lo = reinterpret_cast<float*>(f.arena_.get() + lo_offset);
-  auto* hi = reinterpret_cast<float*>(f.arena_.get() + hi_offset);
-  auto* children =
-      reinterpret_cast<rstar::PageId*>(f.arena_.get() + f.children_offset_);
-  auto* counts =
-      reinterpret_cast<uint32_t*>(f.arena_.get() + f.counts_offset_);
+  auto* planes = reinterpret_cast<const float**>(f.arena_.get());
+  for (int p = 0; p < 2 * dim; ++p) {
+    planes[p] = f.PlaneAt(f.arena_.get() + lo_offset, p);
+  }
+  return f;
+}
 
+FlatNode FlatNode::FromNode(const rstar::Node& node, int dim) {
+  FlatNode f = Allocate(node.id, node.level, dim, node.entries.size());
+  const size_t n = f.size();
+  if (n == 0) return f;
+
+  rstar::ObjectId* objects = f.mutable_objects();
+  float* lo = f.mutable_lo_plane(0);  // plane j starts at lo + j * n
+  float* hi = f.mutable_hi_plane(0);
+  rstar::PageId* children = f.mutable_children();
+  uint32_t* counts = f.mutable_counts();
   for (size_t i = 0; i < n; ++i) {
     const rstar::Entry& e = node.entries[i];
     SQP_DCHECK(e.mbr.dim() == dim);
@@ -56,16 +59,10 @@ FlatNode FlatNode::FromNode(const rstar::Node& node, int dim) {
     counts[i] = e.count;
     const geometry::Point& elo = e.mbr.lo();
     const geometry::Point& ehi = e.mbr.hi();
-    for (size_t j = 0; j < d; ++j) {
-      lo[j * n + i] = elo[static_cast<int>(j)];
-      hi[j * n + i] = ehi[static_cast<int>(j)];
+    for (int j = 0; j < dim; ++j) {
+      lo[static_cast<size_t>(j) * n + i] = elo[j];
+      hi[static_cast<size_t>(j) * n + i] = ehi[j];
     }
-  }
-  f.lo_planes_.resize(d);
-  f.hi_planes_.resize(d);
-  for (size_t j = 0; j < d; ++j) {
-    f.lo_planes_[j] = lo + j * n;
-    f.hi_planes_[j] = hi + j * n;
   }
   return f;
 }

@@ -43,6 +43,23 @@ class FlatNode {
   // Converts a decoded node. `dim` is the tree's dimensionality.
   static FlatNode FromNode(const rstar::Node& node, int dim);
 
+  // Allocate-and-fill construction: sizes the one arena for `n` entries of
+  // dimensionality `dim` and leaves every entry slot for the caller to
+  // write through the mutable_* views before the node is read. FromNode
+  // and the page decoder (storage::DecodeFlatNode) both build this way.
+  static FlatNode Allocate(rstar::PageId id, int level, int dim, size_t n);
+  rstar::ObjectId* mutable_objects() {
+    return reinterpret_cast<rstar::ObjectId*>(arena_.get() + objects_offset_);
+  }
+  float* mutable_lo_plane(int j) { return PlaneAt(objects_end(), j); }
+  float* mutable_hi_plane(int j) { return PlaneAt(objects_end(), dim_ + j); }
+  rstar::PageId* mutable_children() {
+    return reinterpret_cast<rstar::PageId*>(arena_.get() + children_offset_);
+  }
+  uint32_t* mutable_counts() {
+    return reinterpret_cast<uint32_t*>(arena_.get() + counts_offset_);
+  }
+
   rstar::PageId id() const { return id_; }
   int level() const { return level_; }
   bool IsLeaf() const { return level_ == 0; }
@@ -55,20 +72,25 @@ class FlatNode {
   uint32_t count(size_t i) const { return counts()[i]; }
   const uint32_t* counts_data() const { return counts(); }
 
-  float lo(int j, size_t i) const { return lo_planes_[static_cast<size_t>(j)][i]; }
-  float hi(int j, size_t i) const { return hi_planes_[static_cast<size_t>(j)][i]; }
+  float lo(int j, size_t i) const { return lo_planes()[j][i]; }
+  float hi(int j, size_t i) const { return hi_planes()[j][i]; }
 
   // Plane-major views for the batch kernels: element j points at size()
   // contiguous floats holding coordinate j of every entry.
-  const float* const* lo_planes() const { return lo_planes_.data(); }
-  const float* const* hi_planes() const { return hi_planes_.data(); }
+  const float* const* lo_planes() const {
+    return reinterpret_cast<const float* const*>(arena_.get());
+  }
+  const float* const* hi_planes() const {
+    return n_ == 0 ? nullptr : lo_planes() + dim_;
+  }
 
   // Entry i's MBR as a Rect (allocates; convenience for slow paths/tests).
   geometry::Rect RectOf(size_t i) const;
 
  private:
   const rstar::ObjectId* objects() const {
-    return reinterpret_cast<const rstar::ObjectId*>(arena_.get());
+    return reinterpret_cast<const rstar::ObjectId*>(arena_.get() +
+                                                    objects_offset_);
   }
   const rstar::PageId* children() const {
     return reinterpret_cast<const rstar::PageId*>(
@@ -77,18 +99,27 @@ class FlatNode {
   const uint32_t* counts() const {
     return reinterpret_cast<const uint32_t*>(arena_.get() + counts_offset_);
   }
+  std::byte* objects_end() {
+    return arena_.get() + objects_offset_ + n_ * sizeof(rstar::ObjectId);
+  }
+  // Plane `p` of the 2*dim planes that start at `base` (lo then hi).
+  float* PlaneAt(std::byte* base, int p) {
+    return reinterpret_cast<float*>(base) + static_cast<size_t>(p) * n_;
+  }
 
   rstar::PageId id_ = rstar::kInvalidPage;
   int level_ = 0;
   int dim_ = 0;
   size_t n_ = 0;
+  size_t objects_offset_ = 0;
   size_t children_offset_ = 0;
   size_t counts_offset_ = 0;
-  // Layout: [objects u64 x n][lo f32 x dim*n][hi f32 x dim*n]
-  //         [children u32 x n][counts u32 x n].
+  // One allocation (none when n == 0). Layout:
+  //   [lo plane ptrs x dim][hi plane ptrs x dim][objects u64 x n]
+  //   [lo f32 x dim*n][hi f32 x dim*n][children u32 x n][counts u32 x n].
+  // The plane pointers point into the same arena, so they stay valid
+  // when the node is moved.
   std::unique_ptr<std::byte[]> arena_;
-  std::vector<const float*> lo_planes_;  // dim pointers into the arena
-  std::vector<const float*> hi_planes_;
 };
 
 // Reusable plane-major accumulator for algorithms that pool the entries of

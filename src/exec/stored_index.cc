@@ -61,14 +61,6 @@ common::Result<storage::PageLocation> StoredIndexReader::LocationOf(
   return layout_.pages[id];
 }
 
-common::Result<rstar::Node> StoredIndexReader::ReadNode(
-    rstar::PageId id, IoFaultCounters* counters) const {
-  std::vector<rstar::Node> nodes;
-  SQP_RETURN_IF_ERROR(ReadNodes(std::span<const rstar::PageId>(&id, 1),
-                                &nodes, counters));
-  return std::move(nodes[0]);
-}
-
 void StoredIndexReader::EnableMetrics(obs::MetricsRegistry* registry) {
   m_records_ = registry->GetCounter("sqp_reader_records_read_total");
   m_faults_ = registry->GetCounter("sqp_reader_faults_total");
@@ -96,16 +88,19 @@ ReaderFaultTotals StoredIndexReader::fault_totals() const {
   return t;
 }
 
-common::Result<rstar::Node> StoredIndexReader::DecodeRecord(
+common::Result<core::FlatNode> StoredIndexReader::DecodeRecord(
     rstar::PageId id, const storage::PageLocation& loc,
     const uint8_t* buf) const {
-  const std::string what = "disk " + std::to_string(loc.disk) +
-                           " node record for page " + std::to_string(id);
-  return storage::DecodeNode(buf, loc.span, layout_.tree_config.dim,
-                             layout_.page_size, id, what);
+  // The record's name is formatted only if a check fails.
+  const int disk = loc.disk;
+  return storage::DecodeFlatNode(
+      buf, loc.span, layout_.tree_config.dim, layout_.page_size, id, [=] {
+        return "disk " + std::to_string(disk) + " node record for page " +
+               std::to_string(id);
+      });
 }
 
-common::Result<rstar::Node> StoredIndexReader::ReadOneWithRetry(
+common::Result<core::FlatNode> StoredIndexReader::ReadOneWithRetry(
     rstar::PageId id, const storage::PageLocation& loc, uint8_t* buf,
     IoFaultCounters* counters) const {
   const size_t len = static_cast<size_t>(loc.span) * layout_.page_size;
@@ -157,51 +152,13 @@ common::Result<rstar::Node> StoredIndexReader::ReadOneWithRetry(
 
 common::Result<core::FlatNode> StoredIndexReader::ReadFlatNode(
     rstar::PageId id, IoFaultCounters* counters) const {
-  auto node = ReadNode(id, counters);
-  if (!node.ok()) return node.status();
-  return core::FlatNode::FromNode(*node, layout_.tree_config.dim);
+  auto loc = LocationOf(id);
+  if (!loc.ok()) return loc.status();
+  return ReadFlatNodeAt(id, *loc, counters);
 }
 
 common::Status StoredIndexReader::ReadFlatNodes(
     std::span<const rstar::PageId> ids, std::vector<core::FlatNode>* out,
-    IoFaultCounters* counters) const {
-  std::vector<rstar::Node> nodes;
-  nodes.reserve(ids.size());
-  SQP_RETURN_IF_ERROR(ReadNodes(ids, &nodes, counters));
-  out->reserve(out->size() + nodes.size());
-  for (const rstar::Node& n : nodes) {
-    out->push_back(core::FlatNode::FromNode(n, layout_.tree_config.dim));
-  }
-  return common::Status::OK();
-}
-
-common::Result<core::FlatNode> StoredIndexReader::ReadFlatNodeAt(
-    rstar::PageId id, const storage::PageLocation& loc,
-    IoFaultCounters* counters) const {
-  std::vector<rstar::Node> nodes;
-  SQP_RETURN_IF_ERROR(ReadNodesAt(std::span<const rstar::PageId>(&id, 1),
-                                  std::span<const storage::PageLocation>(
-                                      &loc, 1),
-                                  &nodes, counters));
-  return core::FlatNode::FromNode(nodes[0], layout_.tree_config.dim);
-}
-
-common::Status StoredIndexReader::ReadFlatNodesAt(
-    std::span<const rstar::PageId> ids,
-    std::span<const storage::PageLocation> locs,
-    std::vector<core::FlatNode>* out, IoFaultCounters* counters) const {
-  std::vector<rstar::Node> nodes;
-  nodes.reserve(ids.size());
-  SQP_RETURN_IF_ERROR(ReadNodesAt(ids, locs, &nodes, counters));
-  out->reserve(out->size() + nodes.size());
-  for (const rstar::Node& n : nodes) {
-    out->push_back(core::FlatNode::FromNode(n, layout_.tree_config.dim));
-  }
-  return common::Status::OK();
-}
-
-common::Status StoredIndexReader::ReadNodes(
-    std::span<const rstar::PageId> ids, std::vector<rstar::Node>* out,
     IoFaultCounters* counters) const {
   std::vector<storage::PageLocation> locs;
   locs.reserve(ids.size());
@@ -210,7 +167,17 @@ common::Status StoredIndexReader::ReadNodes(
     if (!loc.ok()) return loc.status();
     locs.push_back(*loc);
   }
-  return ReadNodesAt(ids, locs, out, counters);
+  return ReadFlatNodesAt(ids, locs, out, counters);
+}
+
+common::Result<core::FlatNode> StoredIndexReader::ReadFlatNodeAt(
+    rstar::PageId id, const storage::PageLocation& loc,
+    IoFaultCounters* counters) const {
+  std::vector<core::FlatNode> nodes;
+  SQP_RETURN_IF_ERROR(ReadFlatNodesAt(
+      std::span<const rstar::PageId>(&id, 1),
+      std::span<const storage::PageLocation>(&loc, 1), &nodes, counters));
+  return std::move(nodes[0]);
 }
 
 common::Status StoredIndexReader::PlanBatchRead(
@@ -265,14 +232,14 @@ common::Status StoredIndexReader::NoteBatchOutcome(
   return common::Status::OK();
 }
 
-common::Result<rstar::Node> StoredIndexReader::FinishNodeRecord(
+common::Result<core::FlatNode> StoredIndexReader::FinishFlatRecord(
     ReadBatchPlan* plan, size_t i, bool bytes_valid,
     IoFaultCounters* counters) const {
   const rstar::PageId id = plan->ids[i];
   const storage::PageLocation& loc = plan->locs[i];
   uint8_t* buf = static_cast<uint8_t*>(plan->requests[i].buf);
 
-  common::Result<rstar::Node> node = common::Status::Unavailable("");
+  common::Result<core::FlatNode> node = common::Status::Unavailable("");
   if (bytes_valid) {
     const double decode_start_s =
         m_decode_seconds_ != nullptr ? NowSeconds() : 0.0;
@@ -306,18 +273,10 @@ common::Result<rstar::Node> StoredIndexReader::FinishNodeRecord(
   return node;
 }
 
-common::Result<core::FlatNode> StoredIndexReader::FinishFlatRecord(
-    ReadBatchPlan* plan, size_t i, bool bytes_valid,
-    IoFaultCounters* counters) const {
-  auto node = FinishNodeRecord(plan, i, bytes_valid, counters);
-  if (!node.ok()) return node.status();
-  return core::FlatNode::FromNode(*node, layout_.tree_config.dim);
-}
-
-common::Status StoredIndexReader::ReadNodesAt(
+common::Status StoredIndexReader::ReadFlatNodesAt(
     std::span<const rstar::PageId> ids,
     std::span<const storage::PageLocation> locs,
-    std::vector<rstar::Node>* out, IoFaultCounters* counters) const {
+    std::vector<core::FlatNode>* out, IoFaultCounters* counters) const {
   ReadBatchPlan plan;
   SQP_RETURN_IF_ERROR(PlanBatchRead(ids, locs, &plan));
 
@@ -333,8 +292,9 @@ common::Status StoredIndexReader::ReadNodesAt(
   SQP_RETURN_IF_ERROR(NoteBatchOutcome(batch, &bytes_valid, counters));
 
   const size_t first_out = out->size();
+  out->reserve(first_out + ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    auto node = FinishNodeRecord(&plan, i, bytes_valid, counters);
+    auto node = FinishFlatRecord(&plan, i, bytes_valid, counters);
     if (!node.ok()) {
       out->resize(first_out);
       return node.status();

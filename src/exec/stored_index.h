@@ -5,8 +5,10 @@
 // directory (storage::ReadIndexLayout): it resolves each PageId to its
 // primary record's location, groups batch reads per disk, and lets the
 // store merge offset-adjacent records into single preads. Every record is
-// checksum-verified and decoded on the way in, so a damaged page surfaces
-// as a Status at query time, never as a wrong answer.
+// checksum-verified and decoded on the way in — straight from the page
+// bytes into the core::FlatNode the engine's page cache stores
+// (storage::DecodeFlatNode) — so a damaged page surfaces as a Status at
+// query time, never as a wrong answer.
 //
 // The read path is hardened against failing media (docs/FAULTS.md):
 // transient errors (Status::Unavailable) and checksum corruption — which
@@ -28,7 +30,6 @@
 #include "common/status.h"
 #include "core/flat_node.h"
 #include "obs/metrics.h"
-#include "rstar/node.h"
 #include "rstar/types.h"
 #include "storage/index_io.h"
 #include "storage/page_store.h"
@@ -73,8 +74,8 @@ bool IsRetryableReadError(const common::Status& s);
 // one contiguous buffer and lays one ReadRequest per record into it; the
 // caller then executes the requests however it likes — the reader's own
 // ReadPages call, or a completion-driven I/O backend — and finishes each
-// record with FinishNodeRecord / FinishFlatRecord, which carry the exact
-// decode / fault-count / retry-fallback semantics of ReadNodesAt.
+// record with FinishFlatRecord, which carries the exact decode /
+// fault-count / retry-fallback semantics of ReadFlatNodesAt.
 //
 // `requests[i].buf` points into `bytes`, so a plan may be MOVED but never
 // copied while the requests are outstanding.
@@ -117,7 +118,7 @@ class StoredIndexReader {
   common::Result<storage::PageLocation> LocationOf(rstar::PageId id) const;
 
   // Reads and decodes one node record, retrying transient faults.
-  common::Result<rstar::Node> ReadNode(
+  common::Result<core::FlatNode> ReadFlatNode(
       rstar::PageId id, IoFaultCounters* counters = nullptr) const;
 
   // Reads and decodes a batch of node records, appended to `out` in `ids`
@@ -125,20 +126,10 @@ class StoredIndexReader {
   // so records on the same disk that are adjacent in the file cost a
   // single pread; records that fail the batched read or its per-record
   // decode fall back to individual retried reads, so one bad page never
-  // forces the whole batch to be re-read. On error, `out`'s added
-  // contents are unspecified. Safe to call from several threads
+  // forces the whole batch to be re-read. On error, `out` keeps only what
+  // it held before the call. Safe to call from several threads
   // concurrently. `counters`, when non-null, accumulates this call's
   // fault activity (the per-query counters of QueryOutcome).
-  common::Status ReadNodes(std::span<const rstar::PageId> ids,
-                           std::vector<rstar::Node>* out,
-                           IoFaultCounters* counters = nullptr) const;
-
-  // Like ReadNode/ReadNodes, but delivers the records already converted
-  // to the SoA core::FlatNode layout the engine's page cache stores (one
-  // conversion per cold read; warm path never sees an rstar::Node). Same
-  // retry/fault semantics as ReadNodes.
-  common::Result<core::FlatNode> ReadFlatNode(
-      rstar::PageId id, IoFaultCounters* counters = nullptr) const;
   common::Status ReadFlatNodes(std::span<const rstar::PageId> ids,
                                std::vector<core::FlatNode>* out,
                                IoFaultCounters* counters = nullptr) const;
@@ -149,10 +140,6 @@ class StoredIndexReader {
   // PageIds between commits), then read here. Same batching, retry and
   // fault semantics as the id-resolved forms. `locs` must align with
   // `ids` and every span must be nonzero.
-  common::Status ReadNodesAt(std::span<const rstar::PageId> ids,
-                             std::span<const storage::PageLocation> locs,
-                             std::vector<rstar::Node>* out,
-                             IoFaultCounters* counters = nullptr) const;
   common::Result<core::FlatNode> ReadFlatNodeAt(
       rstar::PageId id, const storage::PageLocation& loc,
       IoFaultCounters* counters = nullptr) const;
@@ -167,19 +154,17 @@ class StoredIndexReader {
   // planned media reads); the caller executes the requests; then
   // NoteBatchOutcome accounts the batch-level status (retryable failure
   // invalidates the buffer and falls back per record, permanent failure
-  // is returned for the caller to propagate) and Finish*Record delivers
-  // record `i` — decoding from the plan's buffer when `bytes_valid`,
-  // otherwise re-reading just that record through the retry loop. Each
-  // delivered record is counted exactly as on the ReadNodesAt path.
+  // is returned for the caller to propagate) and FinishFlatRecord
+  // delivers record `i` — decoding from the plan's buffer when
+  // `bytes_valid`, otherwise re-reading just that record through the
+  // retry loop. Each delivered record is counted exactly as on the
+  // ReadFlatNodesAt path.
   common::Status PlanBatchRead(std::span<const rstar::PageId> ids,
                                std::span<const storage::PageLocation> locs,
                                ReadBatchPlan* plan) const;
   common::Status NoteBatchOutcome(const common::Status& batch,
                                   bool* bytes_valid,
                                   IoFaultCounters* counters) const;
-  common::Result<rstar::Node> FinishNodeRecord(ReadBatchPlan* plan, size_t i,
-                                               bool bytes_valid,
-                                               IoFaultCounters* counters) const;
   common::Result<core::FlatNode> FinishFlatRecord(
       ReadBatchPlan* plan, size_t i, bool bytes_valid,
       IoFaultCounters* counters) const;
@@ -213,12 +198,12 @@ class StoredIndexReader {
       : store_(store), layout_(std::move(layout)), retry_(retry) {}
 
   // Reads + decodes one record with the retry loop; `buf` is scratch of
-  // at least span * page_size bytes.
-  common::Result<rstar::Node> ReadOneWithRetry(
+  // at least span * page_size bytes. Each attempt decodes once.
+  common::Result<core::FlatNode> ReadOneWithRetry(
       rstar::PageId id, const storage::PageLocation& loc, uint8_t* buf,
       IoFaultCounters* counters) const;
 
-  common::Result<rstar::Node> DecodeRecord(rstar::PageId id,
+  common::Result<core::FlatNode> DecodeRecord(rstar::PageId id,
                                            const storage::PageLocation& loc,
                                            const uint8_t* buf) const;
 

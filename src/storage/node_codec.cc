@@ -1,11 +1,10 @@
 #include "storage/node_codec.h"
 
 #include <algorithm>
-#include <cmath>
+#include <string>
 
 #include "common/check.h"
-#include "geometry/point.h"
-#include "geometry/rect.h"
+#include "core/flat_node.h"
 
 namespace sqp::storage {
 
@@ -63,17 +62,21 @@ void EncodeNode(const rstar::Node& node, int dim, size_t page_size,
   SQP_DCHECK(next_entry == node.entries.size());
 }
 
-common::Result<rstar::Node> DecodeNode(const uint8_t* data, uint32_t span,
-                                       int dim, size_t page_size,
-                                       rstar::PageId expected_id,
-                                       const std::string& what) {
+common::Result<core::FlatNode> DecodeFlatNode(const uint8_t* data,
+                                              uint32_t span, int dim,
+                                              size_t page_size,
+                                              rstar::PageId expected_id,
+                                              const PageName& what) {
   const size_t per_page = EntriesPerPage(dim, page_size);
   const size_t record_bytes = EntryRecordBytes(dim);
-  if (span < 1) return CorruptionError(what + ": zero-page node record");
+  if (span < 1) {
+    return CorruptionError(what.str() + ": zero-page node record");
+  }
 
-  rstar::Node node;
-  node.id = expected_id;
+  core::FlatNode flat;
+  uint8_t level = 0;
   uint32_t total_entries = 0;
+  size_t decoded = 0;
   for (uint32_t seq = 0; seq < span; ++seq) {
     const uint8_t* page = data + static_cast<size_t>(seq) * page_size;
     const PageType expected_type =
@@ -81,73 +84,95 @@ common::Result<rstar::Node> DecodeNode(const uint8_t* data, uint32_t span,
     SQP_RETURN_IF_ERROR(CheckPage(page, page_size, expected_type, what));
     const PageHeader h = ReadPageHeader(page);
     if (h.page_id != expected_id || h.span != span || h.seq != seq) {
-      return CorruptionError(what + ": node record chain mismatch (page " +
-                             std::to_string(h.page_id) + " seq " +
-                             std::to_string(h.seq) + "/" +
-                             std::to_string(h.span) + ")");
+      return CorruptionError(
+          what.str() + ": node record chain mismatch (page " +
+          std::to_string(h.page_id) + " seq " + std::to_string(h.seq) + "/" +
+          std::to_string(h.span) + ")");
     }
     if (seq == 0) {
-      // Bound before reserving: a crafted-but-checksummed header could
+      // Bound before allocating: a crafted-but-checksummed header could
       // otherwise demand a multi-gigabyte allocation.
       if (h.total_entries > static_cast<uint64_t>(span) * per_page) {
         return CorruptionError(
-            what + ": total entry count " + std::to_string(h.total_entries) +
-            " exceeds record capacity " +
+            what.str() + ": total entry count " +
+            std::to_string(h.total_entries) + " exceeds record capacity " +
             std::to_string(static_cast<uint64_t>(span) * per_page));
       }
-      node.level = h.level;
+      level = h.level;
       total_entries = h.total_entries;
-      node.entries.reserve(h.total_entries);
-    } else if (h.level != node.level || h.total_entries != total_entries) {
-      return CorruptionError(
-          what + ": header fields differ across node pages");
+      flat = core::FlatNode::Allocate(expected_id, level, dim, total_entries);
+    } else if (h.level != level || h.total_entries != total_entries) {
+      return CorruptionError(what.str() +
+                             ": header fields differ across node pages");
     }
     if (h.entry_count > per_page ||
         (seq + 1 < span && h.entry_count != per_page)) {
-      return CorruptionError(what + ": bad per-page entry count");
+      return CorruptionError(what.str() + ": bad per-page entry count");
     }
 
+    // Each entry is checked, then written straight into its arena slots.
+    // Entries past the header's total are checked but not stored; the
+    // count check below rejects the record.
     const uint8_t* rec = page + kPageHeaderBytes;
     for (uint32_t i = 0; i < h.entry_count; ++i, rec += record_bytes) {
-      std::vector<geometry::Coord> lo(static_cast<size_t>(dim));
-      std::vector<geometry::Coord> hi(static_cast<size_t>(dim));
+      const size_t slot = decoded + i;
+      const bool store = slot < total_entries;
       for (int c = 0; c < dim; ++c) {
-        lo[static_cast<size_t>(c)] = GetF32(rec + 4 * c);
-        hi[static_cast<size_t>(c)] = GetF32(rec + 4 * (dim + c));
-      }
-      for (int c = 0; c < dim; ++c) {
-        const float l = lo[static_cast<size_t>(c)];
-        const float u = hi[static_cast<size_t>(c)];
-        if (std::isnan(l) || std::isnan(u) || l > u) {
-          return CorruptionError(what + ": invalid MBR in entry " +
-                                 std::to_string(node.entries.size()));
+        const float lo = GetF32(rec + 4 * c);
+        const float hi = GetF32(rec + 4 * (dim + c));
+        // False for a NaN on either side as well as for lo > hi.
+        if (!(lo <= hi)) {
+          return CorruptionError(what.str() + ": invalid MBR in entry " +
+                                 std::to_string(slot));
+        }
+        if (store) {
+          flat.mutable_lo_plane(c)[slot] = lo;
+          flat.mutable_hi_plane(c)[slot] = hi;
         }
       }
-      rstar::Entry e;
-      e.mbr = geometry::Rect(geometry::Point::FromVector(std::move(lo)),
-                             geometry::Point::FromVector(std::move(hi)));
       const uint64_t ref = GetU64(rec + 8 * dim);
-      e.count = GetU32(rec + 8 * dim + 8);
-      if (node.IsLeaf()) {
-        e.object = ref;
-      } else {
-        if (ref >= rstar::kInvalidPage) {
-          return CorruptionError(what + ": child pointer " +
-                                 std::to_string(ref) +
-                                 " out of PageId range");
-        }
-        e.child = static_cast<rstar::PageId>(ref);
+      if (level != 0 && ref >= rstar::kInvalidPage) {
+        return CorruptionError(what.str() + ": child pointer " +
+                               std::to_string(ref) + " out of PageId range");
       }
-      node.entries.push_back(std::move(e));
+      if (store) {
+        const bool leaf = level == 0;
+        flat.mutable_objects()[slot] = leaf ? ref : rstar::kInvalidObject;
+        flat.mutable_children()[slot] =
+            leaf ? rstar::kInvalidPage : static_cast<rstar::PageId>(ref);
+        flat.mutable_counts()[slot] = GetU32(rec + 8 * dim + 8);
+      }
     }
+    decoded += h.entry_count;
   }
 
-  const PageHeader first = ReadPageHeader(data);
-  if (node.entries.size() != first.total_entries) {
+  if (decoded != total_entries) {
     return CorruptionError(
-        what + ": entry count mismatch (header says " +
-        std::to_string(first.total_entries) + ", decoded " +
-        std::to_string(node.entries.size()) + ")");
+        what.str() + ": entry count mismatch (header says " +
+        std::to_string(total_entries) + ", decoded " +
+        std::to_string(decoded) + ")");
+  }
+  return flat;
+}
+
+common::Result<rstar::Node> DecodeNode(const uint8_t* data, uint32_t span,
+                                       int dim, size_t page_size,
+                                       rstar::PageId expected_id,
+                                       const PageName& what) {
+  auto flat =
+      DecodeFlatNode(data, span, dim, page_size, expected_id, what);
+  if (!flat.ok()) return flat.status();
+  rstar::Node node;
+  node.id = flat->id();
+  node.level = flat->level();
+  node.entries.reserve(flat->size());
+  for (size_t i = 0; i < flat->size(); ++i) {
+    rstar::Entry e;
+    e.mbr = flat->RectOf(i);
+    e.child = flat->child(i);
+    e.object = flat->object(i);
+    e.count = flat->count(i);
+    node.entries.push_back(std::move(e));
   }
   return node;
 }

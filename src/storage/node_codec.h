@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/flat_node.h"
 #include "rstar/node.h"
 #include "storage/page_format.h"
 
@@ -41,13 +42,25 @@ uint32_t NodeSpan(const rstar::Node& node, int dim, size_t page_size);
 void EncodeNode(const rstar::Node& node, int dim, size_t page_size,
                 std::vector<uint8_t>* out);
 
-// Decodes a node record from `data` (exactly `span * page_size` bytes),
-// verifying each page's checksum, the span/seq chain and that the record
-// is for page `expected_id`. `what` names the record in error messages.
+// Decodes a node record from `data` (exactly `span * page_size` bytes)
+// straight into a core::FlatNode arena, verifying each page (CheckPage),
+// the span/seq chain, that the record is for page `expected_id`, the
+// entry-count bounds, every MBR (no NaN, lo <= hi) and every child
+// PageId. `what` names the record in error messages. The query engine's
+// reader decodes every cache miss this way.
+common::Result<core::FlatNode> DecodeFlatNode(const uint8_t* data,
+                                              uint32_t span, int dim,
+                                              size_t page_size,
+                                              rstar::PageId expected_id,
+                                              const PageName& what);
+
+// The same decode and checks (it runs DecodeFlatNode), delivered as the
+// build-side rstar::Node: FlatNode::FromNode of the result equals
+// DecodeFlatNode's bit for bit.
 common::Result<rstar::Node> DecodeNode(const uint8_t* data, uint32_t span,
                                        int dim, size_t page_size,
                                        rstar::PageId expected_id,
-                                       const std::string& what);
+                                       const PageName& what);
 
 }  // namespace sqp::storage
 

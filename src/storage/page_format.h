@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "common/status.h"
 
@@ -117,16 +119,51 @@ inline int32_t GetI32(const uint8_t* p) {
 
 // --- Checksumming -------------------------------------------------------
 
-// CRC32C (Castagnoli polynomial, as used by iSCSI/ext4/LevelDB). Software
-// table implementation; `Crc32cExtend` continues a running checksum.
+// CRC32C (Castagnoli polynomial, as used by iSCSI/ext4/LevelDB).
+// `Crc32cExtend` continues a running checksum. On x86-64 hosts whose CPU
+// has SSE4.2 it runs the `crc32` instruction 8 bytes per step (chosen
+// once, at the first call); elsewhere it runs the byte-at-a-time table.
+// Both compute the same function, so every stored checksum is the same.
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len);
 uint32_t Crc32c(const void* data, size_t len);
+
+// The portable table routine on its own, on every host: the reference the
+// hardware path is tested against.
+uint32_t Crc32cExtendTable(uint32_t crc, const void* data, size_t len);
+
+// True when Crc32cExtend runs the SSE4.2 instruction on this host.
+bool Crc32cUsesSse42();
 
 // An error class for on-disk damage (bit rot, truncation, foreign files).
 // Kept distinct from InvalidArgument so callers can tell "you handed me a
 // bad argument" from "the bytes on disk are bad".
 common::Status CorruptionError(std::string message);
 bool IsCorruption(const common::Status& s);
+
+// Names a page or record in error messages: either a fixed string, or a
+// callable returning std::string that runs only when a check fails, so a
+// page that passes every check builds no text. Like std::string_view it
+// does not own what it refers to: use it as a parameter type only.
+class PageName {
+ public:
+  PageName(const std::string& text) : text_(text) {}  // NOLINT
+  PageName(const char* text) : text_(text) {}         // NOLINT
+  template <typename Format>
+    requires std::is_invocable_r_v<std::string, const Format&>
+  PageName(const Format& format)  // NOLINT
+      : format_(&format), call_([](const void* f) -> std::string {
+          return (*static_cast<const Format*>(f))();
+        }) {}
+
+  std::string str() const {
+    return call_ != nullptr ? call_(format_) : std::string(text_);
+  }
+
+ private:
+  std::string_view text_;
+  const void* format_ = nullptr;
+  std::string (*call_)(const void*) = nullptr;
+};
 
 // --- Page header read/write ---------------------------------------------
 
@@ -142,7 +179,7 @@ void SealPage(uint8_t* page, size_t page_size);
 // and checks the page type. `what` names the page in error messages, e.g.
 // "disk 3 page 17". Returns CorruptionError / InvalidArgument on failure.
 common::Status CheckPage(const uint8_t* page, size_t page_size,
-                         PageType expected_type, const std::string& what);
+                         PageType expected_type, const PageName& what);
 
 // Parses the header fields. Call only after CheckPage succeeded.
 PageHeader ReadPageHeader(const uint8_t* page);

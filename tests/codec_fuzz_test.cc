@@ -6,9 +6,12 @@
 // over-read, or return OK for an image that fails verification; damage
 // surfaces as a Status (usually CorruptionError). Crafted-but-resealed
 // headers additionally pin the bounds checks: a checksummed page whose
-// counts imply absurd allocations must be rejected, not trusted.
+// counts imply absurd allocations must be rejected, not trusted. Every
+// node record also goes through DecodeFlatNode, which must reach the same
+// verdict with the same error, and on success the same node bit for bit.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -19,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/flat_node.h"
 #include "parallel/parallel_tree.h"
 #include "storage/index_io.h"
 #include "storage/node_codec.h"
@@ -36,16 +40,18 @@ constexpr size_t kPage = 1024;  // small pages -> multi-page records too
 constexpr int kDim = 2;
 
 rstar::Node MakeNode(rstar::PageId id, uint8_t level, int n_entries,
-                     uint64_t seed) {
+                     uint64_t seed, int dim = kDim) {
   common::Rng rng(seed);
   rstar::Node node;
   node.id = id;
   node.level = level;
   for (int i = 0; i < n_entries; ++i) {
-    geometry::Point lo{static_cast<geometry::Coord>(rng.Uniform()),
-                       static_cast<geometry::Coord>(rng.Uniform())};
+    geometry::Point lo(dim);
+    for (int d = 0; d < dim; ++d) {
+      lo[d] = static_cast<geometry::Coord>(rng.Uniform());
+    }
     geometry::Point hi = lo;
-    for (int d = 0; d < kDim; ++d) {
+    for (int d = 0; d < dim; ++d) {
       hi[d] += static_cast<geometry::Coord>(rng.Uniform());
     }
     if (level == 0) {
@@ -63,39 +69,81 @@ rstar::Node MakeNode(rstar::PageId id, uint8_t level, int n_entries,
 }
 
 // Round-trips `node` and returns the encoded image.
-std::vector<uint8_t> Encode(const rstar::Node& node) {
+std::vector<uint8_t> Encode(const rstar::Node& node, int dim = kDim) {
   std::vector<uint8_t> image;
-  storage::EncodeNode(node, kDim, kPage, &image);
+  storage::EncodeNode(node, dim, kPage, &image);
   return image;
 }
 
+void ExpectSameFlat(const core::FlatNode& want, const core::FlatNode& got) {
+  ASSERT_EQ(got.id(), want.id());
+  ASSERT_EQ(got.level(), want.level());
+  ASSERT_EQ(got.dim(), want.dim());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.object(i), want.object(i)) << "entry " << i;
+    ASSERT_EQ(got.child(i), want.child(i)) << "entry " << i;
+    ASSERT_EQ(got.count(i), want.count(i)) << "entry " << i;
+    for (int j = 0; j < want.dim(); ++j) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(got.lo(j, i)),
+                std::bit_cast<uint32_t>(want.lo(j, i)))
+          << "entry " << i << " lo " << j;
+      ASSERT_EQ(std::bit_cast<uint32_t>(got.hi(j, i)),
+                std::bit_cast<uint32_t>(want.hi(j, i)))
+          << "entry " << i << " hi " << j;
+    }
+  }
+}
+
+// Decodes `span` pages at `data` with DecodeNode and DecodeFlatNode and
+// checks that the two agree: the same verdict, the same error (code and
+// message), and on success a FlatNode equal field for field to
+// FlatNode::FromNode of the decoded Node. Returns DecodeNode's result.
+common::Result<rstar::Node> DecodeBoth(const uint8_t* data, uint32_t span,
+                                       int dim, rstar::PageId id) {
+  auto node = storage::DecodeNode(data, span, dim, kPage, id,
+                                  "fuzzed record");
+  auto flat = storage::DecodeFlatNode(data, span, dim, kPage, id,
+                                      "fuzzed record");
+  EXPECT_EQ(flat.ok(), node.ok()) << node.status() << " / " << flat.status();
+  if (!node.ok() && !flat.ok()) {
+    EXPECT_EQ(flat.status(), node.status());  // code (so class) and message
+  }
+  if (node.ok() && flat.ok()) {
+    ExpectSameFlat(core::FlatNode::FromNode(*node, dim), *flat);
+  }
+  return node;
+}
+
 common::Result<rstar::Node> Decode(const std::vector<uint8_t>& image,
-                                   rstar::PageId id) {
-  return storage::DecodeNode(image.data(),
-                             static_cast<uint32_t>(image.size() / kPage),
-                             kDim, kPage, id, "fuzzed record");
+                                   rstar::PageId id, int dim = kDim) {
+  return DecodeBoth(image.data(), static_cast<uint32_t>(image.size() / kPage),
+                    dim, id);
 }
 
 // --- Random mutations of valid node images --------------------------------
 
-TEST(CodecFuzzTest, RandomByteMutationsNeverCrashOrDecode) {
-  // A corpus mixing leaf/internal, single- and multi-page records.
-  std::vector<std::pair<rstar::PageId, std::vector<uint8_t>>> corpus;
-  corpus.emplace_back(3, Encode(MakeNode(3, 0, 5, 1)));
-  corpus.emplace_back(9, Encode(MakeNode(9, 2, 30, 2)));
-  corpus.emplace_back(11, Encode(MakeNode(11, 0, 60, 3)));   // span > 1
-  corpus.emplace_back(12, Encode(MakeNode(12, 1, 120, 4)));  // span > 2
-  corpus.emplace_back(1, Encode(MakeNode(1, 0, 0, 5)));      // empty node
-  for (const auto& [id, image] : corpus) {
-    ASSERT_TRUE(Decode(image, id).ok());
-    ASSERT_EQ(image.size() % kPage, 0u);
+struct CorpusRecord {
+  rstar::PageId id;
+  int dim;
+  std::vector<uint8_t> image;
+};
+
+// Throws `iters` seeded random mutation sets at records of `corpus`;
+// returns how many damaged images were rejected.
+size_t RunByteMutations(const std::vector<CorpusRecord>& corpus,
+                        uint64_t seed, int iters) {
+  for (const CorpusRecord& r : corpus) {
+    EXPECT_TRUE(Decode(r.image, r.id, r.dim).ok());
+    EXPECT_EQ(r.image.size() % kPage, 0u);
   }
 
-  common::Rng rng(20250806);
-  size_t rejected = 0, accepted = 0;
-  for (int iter = 0; iter < 6000; ++iter) {
-    const auto& [id, original] = corpus[static_cast<size_t>(
+  common::Rng rng(seed);
+  size_t rejected = 0;
+  for (int iter = 0; iter < iters; ++iter) {
+    const CorpusRecord& r = corpus[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(corpus.size()) - 1))];
+    const std::vector<uint8_t>& original = r.image;
     std::vector<uint8_t> image = original;
     // 1-8 independent mutations: bit flip, byte stomp, or zeroed run.
     const int n_mutations = static_cast<int>(rng.UniformInt(1, 8));
@@ -120,19 +168,37 @@ TEST(CodecFuzzTest, RandomByteMutationsNeverCrashOrDecode) {
     }
     // Must never crash; OK only if the mutations happened to cancel out
     // (byte stomps can write the original value back).
-    auto result = Decode(image, id);
+    auto result = Decode(image, r.id, r.dim);
     if (result.ok()) {
-      ++accepted;
-      ASSERT_EQ(std::memcmp(image.data(), original.data(), image.size()), 0)
+      EXPECT_EQ(std::memcmp(image.data(), original.data(), image.size()), 0)
           << "decoder accepted a damaged image on iteration " << iter;
     } else {
       ++rejected;
     }
   }
-  EXPECT_GT(rejected, 5000u);
-  // `accepted` only counts no-op mutations; nothing to assert beyond the
-  // bit-identity check above.
-  (void)accepted;
+  return rejected;
+}
+
+TEST(CodecFuzzTest, RandomByteMutationsNeverCrashOrDecode) {
+  // A corpus mixing leaf/internal, single- and multi-page records.
+  std::vector<CorpusRecord> corpus;
+  corpus.push_back({3, kDim, Encode(MakeNode(3, 0, 5, 1))});
+  corpus.push_back({9, kDim, Encode(MakeNode(9, 2, 30, 2))});
+  corpus.push_back({11, kDim, Encode(MakeNode(11, 0, 60, 3))});   // span > 1
+  corpus.push_back({12, kDim, Encode(MakeNode(12, 1, 120, 4))});  // span > 2
+  corpus.push_back({1, kDim, Encode(MakeNode(1, 0, 0, 5))});      // empty
+  EXPECT_GT(RunByteMutations(corpus, 20250806, 6000), 5000u);
+
+  // The knn-hot shape's dimensionality: 12 entries per 1 KB page, so
+  // these records span 1, 3 and 2 pages.
+  constexpr int kDim8 = 8;
+  std::vector<CorpusRecord> corpus8;
+  corpus8.push_back({5, kDim8, Encode(MakeNode(5, 0, 7, 11, kDim8), kDim8)});
+  corpus8.push_back(
+      {6, kDim8, Encode(MakeNode(6, 0, 30, 12, kDim8), kDim8)});
+  corpus8.push_back(
+      {7, kDim8, Encode(MakeNode(7, 2, 20, 13, kDim8), kDim8)});
+  EXPECT_GT(RunByteMutations(corpus8, 20250807, 3000), 2500u);
 }
 
 TEST(CodecFuzzTest, TruncatedAndOversizedTailsAreRejected) {
@@ -144,8 +210,7 @@ TEST(CodecFuzzTest, TruncatedAndOversizedTailsAreRejected) {
   // Feeding a shorter span than the record's own header claims must fail
   // cleanly (the header says "span pages" but only span-1 are provided —
   // the decoder must not read past its input).
-  auto short_result = storage::DecodeNode(image.data(), span - 1, kDim,
-                                          kPage, 21, "truncated record");
+  auto short_result = DecodeBoth(image.data(), span - 1, kDim, 21);
   EXPECT_FALSE(short_result.ok());
 
   // Zeroed final page: checksum of that page fails.
@@ -164,12 +229,8 @@ TEST(CodecFuzzTest, TruncatedAndOversizedTailsAreRejected) {
   EXPECT_FALSE(Decode(image, 20).ok());
 }
 
-// Forged-but-checksummed headers: reseal after each field edit so only the
-// semantic validation (not the CRC) stands between the decoder and a bogus
-// allocation or overflow.
-TEST(CodecFuzzTest, ResealedHeaderForgeriesAreRejected) {
-  const rstar::Node node = MakeNode(33, 1, 40, 8);
-  const std::vector<uint8_t> image = Encode(node);
+void RunResealedForgeries(const std::vector<uint8_t>& image,
+                          rstar::PageId id, int dim, uint64_t seed) {
   const uint32_t span = static_cast<uint32_t>(image.size() / kPage);
   ASSERT_GE(span, 2u);  // continuation-page chain checks must be in play
 
@@ -193,13 +254,13 @@ TEST(CodecFuzzTest, ResealedHeaderForgeriesAreRejected) {
     std::vector<uint8_t> forged = image;
     storage::PutU32(forged.data() + f.offset, f.value);
     storage::SealPage(forged.data(), kPage);  // make the CRC pass again
-    auto result = Decode(forged, 33);
+    auto result = Decode(forged, id, dim);
     EXPECT_FALSE(result.ok()) << "forgery '" << f.name << "' was accepted";
   }
 
   // Randomized header stomps, resealed: still must never crash or be
   // accepted as some other record.
-  common::Rng rng(44);
+  common::Rng rng(seed);
   for (int iter = 0; iter < 3000; ++iter) {
     std::vector<uint8_t> forged = image;
     const int page = static_cast<int>(
@@ -215,13 +276,23 @@ TEST(CodecFuzzTest, ResealedHeaderForgeriesAreRejected) {
       header[off] = static_cast<uint8_t>(rng.UniformInt(0, 255));
     }
     storage::SealPage(header, kPage);
-    auto result = Decode(forged, 33);
+    auto result = Decode(forged, id, dim);
     if (result.ok()) {
       // The stomps must have restored the original header bytes.
       ASSERT_EQ(std::memcmp(forged.data(), image.data(), forged.size()), 0)
           << "iteration " << iter;
     }
   }
+}
+
+// Forged-but-checksummed headers: reseal after each field edit so only the
+// semantic validation (not the CRC) stands between the decoder and a bogus
+// allocation or overflow.
+TEST(CodecFuzzTest, ResealedHeaderForgeriesAreRejected) {
+  RunResealedForgeries(Encode(MakeNode(33, 1, 40, 8)), 33, kDim, 44);
+  constexpr int kDim8 = 8;
+  RunResealedForgeries(Encode(MakeNode(34, 0, 30, 9, kDim8), kDim8), 34,
+                       kDim8, 45);
 }
 
 TEST(CodecFuzzTest, CheckPageOnRandomBuffersNeverCrashes) {

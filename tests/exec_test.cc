@@ -459,20 +459,20 @@ TEST(StoredIndexReaderTest, NodesRoundTripThroughStore) {
 
   const std::vector<rstar::PageId> live = index->tree().LiveNodeIds();
   // The whole tree in one batch; decoded nodes must equal the live ones.
-  std::vector<rstar::Node> nodes;
-  ASSERT_TRUE((*reader)->ReadNodes(live, &nodes).ok());
+  std::vector<exec::FlatNode> nodes;
+  ASSERT_TRUE((*reader)->ReadFlatNodes(live, &nodes).ok());
   ASSERT_EQ(nodes.size(), live.size());
   for (size_t i = 0; i < live.size(); ++i) {
     const rstar::Node& mem = index->tree().node(live[i]);
-    EXPECT_EQ(nodes[i].id, mem.id);
-    EXPECT_EQ(nodes[i].level, mem.level);
-    ASSERT_EQ(nodes[i].entries.size(), mem.entries.size());
+    EXPECT_EQ(nodes[i].id(), mem.id);
+    EXPECT_EQ(nodes[i].level(), mem.level);
+    ASSERT_EQ(nodes[i].size(), mem.entries.size());
     for (size_t e = 0; e < mem.entries.size(); ++e) {
-      EXPECT_EQ(nodes[i].entries[e].child, mem.entries[e].child);
-      EXPECT_EQ(nodes[i].entries[e].object, mem.entries[e].object);
-      EXPECT_EQ(nodes[i].entries[e].count, mem.entries[e].count);
-      EXPECT_EQ(nodes[i].entries[e].mbr.lo(), mem.entries[e].mbr.lo());
-      EXPECT_EQ(nodes[i].entries[e].mbr.hi(), mem.entries[e].mbr.hi());
+      EXPECT_EQ(nodes[i].child(e), mem.entries[e].child);
+      EXPECT_EQ(nodes[i].object(e), mem.entries[e].object);
+      EXPECT_EQ(nodes[i].count(e), mem.entries[e].count);
+      EXPECT_EQ(nodes[i].RectOf(e).lo(), mem.entries[e].mbr.lo());
+      EXPECT_EQ(nodes[i].RectOf(e).hi(), mem.entries[e].mbr.hi());
     }
     // Directory locations agree with the placement map.
     EXPECT_EQ((*reader)->layout().pages[live[i]].disk,
@@ -489,7 +489,7 @@ TEST(StoredIndexReaderTest, DeadPageIsAnError) {
   ASSERT_TRUE(reader.ok());
   const rstar::PageId dead = static_cast<rstar::PageId>(
       (*reader)->layout().pages.size() + 17);
-  EXPECT_FALSE((*reader)->ReadNode(dead).ok());
+  EXPECT_FALSE((*reader)->ReadFlatNode(dead).ok());
 }
 
 // --- ParallelQueryEngine --------------------------------------------------

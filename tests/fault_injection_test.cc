@@ -303,10 +303,10 @@ TEST(ReaderRetryTest, TransientFaultIsRetriedToSuccess) {
 
   const rstar::PageId root = index->tree().root();
   exec::IoFaultCounters counters;
-  auto node = (*reader)->ReadNode(root, &counters);
+  auto node = (*reader)->ReadFlatNode(root, &counters);
   ASSERT_TRUE(node.ok()) << node.status();
-  EXPECT_EQ(node->id, root);
-  EXPECT_EQ(node->entries.size(), index->tree().node(root).entries.size());
+  EXPECT_EQ(node->id(), root);
+  EXPECT_EQ(node->size(), index->tree().node(root).entries.size());
   EXPECT_EQ(counters.faults, 2u);
   EXPECT_GE(counters.retries, 2u);
   const exec::ReaderFaultTotals totals = (*reader)->fault_totals();
@@ -332,17 +332,17 @@ TEST(ReaderRetryTest, CorruptionHealsOnRetry) {
 
   const rstar::PageId root = index->tree().root();
   exec::IoFaultCounters counters;
-  auto node = (*reader)->ReadNode(root, &counters);
+  auto node = (*reader)->ReadFlatNode(root, &counters);
   ASSERT_TRUE(node.ok()) << node.status();
   EXPECT_EQ(counters.faults, 1u);
   EXPECT_GE(counters.retries, 1u);
   // The decoded node is bit-identical to the in-memory one.
   const rstar::Node& mem = index->tree().node(root);
-  ASSERT_EQ(node->entries.size(), mem.entries.size());
+  ASSERT_EQ(node->size(), mem.entries.size());
   for (size_t e = 0; e < mem.entries.size(); ++e) {
-    EXPECT_EQ(node->entries[e].child, mem.entries[e].child);
-    EXPECT_EQ(node->entries[e].mbr.lo(), mem.entries[e].mbr.lo());
-    EXPECT_EQ(node->entries[e].mbr.hi(), mem.entries[e].mbr.hi());
+    EXPECT_EQ(node->child(e), mem.entries[e].child);
+    EXPECT_EQ(node->RectOf(e).lo(), mem.entries[e].mbr.lo());
+    EXPECT_EQ(node->RectOf(e).hi(), mem.entries[e].mbr.hi());
   }
 }
 
@@ -359,7 +359,7 @@ TEST(ReaderRetryTest, PermanentFaultFailsFastWithDescriptiveStatus) {
   spec.kind = FaultKind::kPermanentError;
   faulty.AddFault(spec);
 
-  auto node = (*reader)->ReadNode(index->tree().root());
+  auto node = (*reader)->ReadFlatNode(index->tree().root());
   ASSERT_FALSE(node.ok());
   EXPECT_EQ(node.status().code(), common::StatusCode::kInternal);
   EXPECT_NE(node.status().message().find("injected permanent I/O error"),
@@ -385,7 +385,7 @@ TEST(ReaderRetryTest, RetriesAreCappedAndReported) {
   faulty.AddFault(spec);
 
   exec::IoFaultCounters counters;
-  auto node = (*reader)->ReadNode(index->tree().root(), &counters);
+  auto node = (*reader)->ReadFlatNode(index->tree().root(), &counters);
   ASSERT_FALSE(node.ok());
   EXPECT_EQ(node.status().code(), common::StatusCode::kUnavailable);
   EXPECT_NE(node.status().message().find("gave up after 3 attempt(s)"),
@@ -430,15 +430,14 @@ TEST(ReaderRetryTest, BatchWithOneBadRecordOnlyRereadsThatRecord) {
   spec.max_hits = 1;
   faulty.AddFault(spec);
 
-  std::vector<rstar::Node> nodes;
+  std::vector<core::FlatNode> nodes;
   exec::IoFaultCounters counters;
-  ASSERT_TRUE((*reader)->ReadNodes(live, &nodes, &counters).ok());
+  ASSERT_TRUE((*reader)->ReadFlatNodes(live, &nodes, &counters).ok());
   ASSERT_EQ(nodes.size(), live.size());
   EXPECT_EQ(counters.faults, 1u);
   for (size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(nodes[i].id, index->tree().node(live[i]).id);
-    EXPECT_EQ(nodes[i].entries.size(),
-              index->tree().node(live[i]).entries.size());
+    EXPECT_EQ(nodes[i].id(), index->tree().node(live[i]).id);
+    EXPECT_EQ(nodes[i].size(), index->tree().node(live[i]).entries.size());
   }
 }
 
@@ -691,6 +690,14 @@ TEST(EngineFaultTest, CacheIsNeverPoisonedByCorruptPages) {
   ASSERT_FALSE(bad.status.ok());
   EXPECT_TRUE(storage::IsCorruption(bad.status)) << bad.status;
   EXPECT_NE(bad.status.message().find("gave up after"), std::string::npos)
+      << bad.status;
+  // The reader names the record only when a check fails; the name keeps
+  // its format.
+  const std::string record_name =
+      "disk " + std::to_string(root_loc->disk) + " node record for page " +
+      std::to_string((*engine)->reader().layout().root) +
+      ": checksum mismatch";
+  EXPECT_NE(bad.status.message().find(record_name), std::string::npos)
       << bad.status;
   EXPECT_GT(bad.io_retries, 0u);
 

@@ -528,8 +528,8 @@ TEST(HotNeighborPlacementTest, FewerMediaReadsAndIdenticalAnswers) {
       if (n.IsLeaf()) continue;
       std::vector<rstar::PageId> children;
       for (const rstar::Entry& e : n.entries) children.push_back(e.child);
-      std::vector<rstar::Node> nodes;
-      EXPECT_TRUE((*reader)->ReadNodes(children, &nodes).ok());
+      std::vector<core::FlatNode> nodes;
+      EXPECT_TRUE((*reader)->ReadFlatNodes(children, &nodes).ok());
     }
     return (*reader)->media_reads();
   };

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/algorithms.h"
 #include "core/sequential_executor.h"
 #include "parallel/parallel_tree.h"
@@ -51,6 +53,60 @@ TEST(Crc32cTest, KnownVectors) {
   uint32_t inc = storage::Crc32cExtend(0, s, 6);
   inc = storage::Crc32cExtend(inc, s + 6, std::strlen(s) - 6);
   EXPECT_EQ(inc, storage::Crc32c(s, std::strlen(s)));
+}
+
+// Crc32cExtend runs the SSE4.2 instruction where the CPU has it; the table
+// routine is the reference. (On a host without SSE4.2 both names run the
+// table and these tests hold trivially.)
+std::vector<uint8_t> CrcTestBytes(size_t n) {
+  common::Rng rng(32);
+  std::vector<uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  return bytes;
+}
+
+TEST(Crc32cTest, HardwareMatchesTableAtEveryLengthAndAlignment) {
+  RecordProperty("sse42", storage::Crc32cUsesSse42() ? "yes" : "no");
+  constexpr size_t kMaxLen = 4200;
+  const std::vector<uint8_t> bytes = CrcTestBytes(kMaxLen + 8);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const uint8_t* p = bytes.data() + align;
+      ASSERT_EQ(storage::Crc32cExtend(0, p, len),
+                storage::Crc32cExtendTable(0, p, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedExtendMatchesTable) {
+  const std::vector<uint8_t> bytes = CrcTestBytes(4200);
+  common::Rng rng(33);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const size_t len = static_cast<size_t>(rng.UniformInt(0, 4200));
+    const size_t start = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(bytes.size() - len)));
+    const uint8_t* p = bytes.data() + start;
+    // Up to four split points, each piece continuing the running CRC of
+    // the one before, from a nonzero seed half of the time.
+    std::vector<size_t> cuts = {0, len};
+    const int n_cuts = static_cast<int>(rng.UniformInt(0, 3));
+    for (int c = 0; c < n_cuts; ++c) {
+      cuts.push_back(static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(len))));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    const uint32_t seed =
+        iter % 2 == 0 ? 0u
+                      : static_cast<uint32_t>(rng.UniformInt(1, 0xFFFFFFFF));
+    uint32_t chained = seed;
+    for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+      chained = storage::Crc32cExtend(chained, p + cuts[c],
+                                      cuts[c + 1] - cuts[c]);
+    }
+    ASSERT_EQ(chained, storage::Crc32cExtendTable(seed, p, len))
+        << "iteration " << iter;
+  }
 }
 
 TEST(PageFormatTest, SealAndCheckRoundTrip) {
